@@ -13,7 +13,8 @@
 #
 # Synthetic noisy displacement data pin down the model parameters.  The
 # posterior mode comes from a multi-start simplex search of the misfit least
-# squares; the local covariance comes from finite differences; and a profile
+# squares; the local covariance comes from the surrogate's exact
+# derivatives; and a profile
 # inspection decides, per parameter, whether a Gaussian is an honest
 # description or a reduced uniform interval is the best we can say.
 

@@ -44,7 +44,6 @@ from .models import (
     BuiltinModel,
     ExternalModel,
     ExternalModelError,
-    evaluate_model,
     register_builtin,
 )
 from .inversion import (

@@ -40,7 +40,7 @@ from .inversion import (
 from .models import ExternalModel, ExternalModelError, register_builtin
 from .sobol import rank_parameters, sobol_indices, write_sobol_json
 from .surrogate import (
-    Dim, Gaussian, ParameterSpace, Surrogate, Uniform, build_sparse_grid,
+    ParameterSpace, Surrogate, Uniform, _space_from_json, build_sparse_grid,
     surrogate_from_json_dict, surrogate_to_json_dict, validation_errors,
 )
 
@@ -52,10 +52,16 @@ STAGE_DEFAULTS = {
     "gsa": {"kind": "max", "w": 1, "n_samples": 16384, "seed": 0, "threshold": 0.05},
     "inversion": {"kind": "sum", "w": 3, "n_starts": 16, "seed": 0, "start_seed": 1,
                   "chi2_threshold": 3.84, "flat_fraction": 0.5, "profile_grid": 101,
-                  "fd_step_jacobian": 1e-4, "fd_step_hessian": 1e-3,
                   "validation_samples": 50, "validation_seed": 0},
     "forward": {"kind": "sum", "w": 3, "n_samples": 10000, "seed": 0, "kde_grid": 512,
                 "validation_samples": 50, "validation_seed": 0},
+}
+#: stage keys without a default; any key outside these and the defaults is an error
+STAGE_OPTIONAL = {
+    "gsa": ("outputs", "exclude_outputs"),
+    "inversion": ("dims", "fixed_values", "data_file", "target", "noise_std",
+                  "measurement_outputs"),
+    "forward": ("posterior_file", "prior_surrogate_file", "qoi_outputs"),
 }
 
 
@@ -68,34 +74,39 @@ def _log(msg: str):
 
 
 def _load_config(path: str) -> dict:
+    """Read a config and check its parameter space, which every stage parses."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        _space_from_json(config["space"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid parameter space: {exc}") from exc
+    return config
 
 
 def _stage_options(config: dict, stage: str) -> dict:
-    opts = dict(STAGE_DEFAULTS[stage])
-    opts.update(config.get(stage, {}))
-    return opts
+    given = config.get(stage, {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"config section {stage!r} must be an object")
+    unknown = sorted(set(given) - set(STAGE_DEFAULTS[stage]) - set(STAGE_OPTIONAL[stage]))
+    if unknown:
+        raise ConfigError(f"unknown {stage} option(s) {unknown}")
+    return {**STAGE_DEFAULTS[stage], **given}
 
 
-def _parse_space(config: dict) -> ParameterSpace:
-    try:
-        dims = []
-        for entry in config["space"]:
-            kind = entry["distribution"].lower()
-            if kind == "uniform":
-                a, b = entry["range"]
-                dims.append(Dim(entry["name"], Uniform(float(a), float(b))))
-            elif kind == "gaussian":
-                dims.append(Dim(entry["name"], Gaussian(float(entry["mean"]), float(entry["std"]))))
-            else:
-                raise ConfigError(f"unknown distribution {entry['distribution']!r}")
-        return ParameterSpace(dims=tuple(dims))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid parameter space: {exc}") from exc
+def _fixed_values(config: dict, space: ParameterSpace, kept) -> dict:
+    """Values of the dims left out of ``kept``: configured, else the interval midpoint."""
+    configured = _stage_options(config, "inversion").get("fixed_values", {})
+    fixed = {}
+    for d in space.dims:
+        if d.name not in kept:
+            if not isinstance(d.dist, Uniform):
+                raise ConfigError(f"cannot fix non-uniform dimension {d.name!r}")
+            fixed[d.name] = configured.get(d.name, 0.5 * (d.dist.a + d.dist.b))
+    return fixed
 
 
 def _make_model(config: dict):
@@ -192,6 +203,22 @@ def _slice_outputs(surrogate: Surrogate, ids, names) -> Surrogate:
                      output_names=tuple(names))
 
 
+def _validation_table(space, opts: dict, model: StageModel, ids, samples) -> dict:
+    """Validation errors of the selected outputs at every level budget w = 0..opts["w"]."""
+    output_names = model.handle.output_names
+    names = [output_names[i] for i in ids]
+    ref = model(samples)[:, ids]
+    per_output = {n: {"e_ppe": [], "e_mse": []} for n in names}
+    for w in range(opts["w"] + 1):
+        sub_full = _build_stage_surrogate(space, opts["kind"], w, model, output_names)
+        err = validation_errors(_slice_outputs(sub_full, ids, names), ref, samples)
+        for j, n in enumerate(names):
+            per_output[n]["e_ppe"].append(float(err.e_ppe[j]))
+            per_output[n]["e_mse"].append(float(err.e_mse[j]))
+    return {"w": list(range(opts["w"] + 1)), "n_samples": int(opts["validation_samples"]),
+            "outputs": per_output}
+
+
 def _utc_timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     t = int(epoch) if epoch else int(time.time())
@@ -215,7 +242,7 @@ def _write_json(path: Path, data):
 
 def run_gsa(config: dict, out: Path) -> dict:
     opts = _stage_options(config, "gsa")
-    space = _parse_space(config)
+    space = _space_from_json(config["space"])
     handle = _make_model(config)
     model = StageModel(handle, space)
     stage_dir = out / "gsa"
@@ -246,7 +273,7 @@ def run_gsa(config: dict, out: Path) -> dict:
 
 def _reduced_space(config: dict, out: Path) -> tuple[ParameterSpace, dict]:
     """Inversion-stage space: configured dims, else the screening keep list."""
-    space = _parse_space(config)
+    space = _space_from_json(config["space"])
     opts = _stage_options(config, "inversion")
     dims = opts.get("dims")
     if dims is None:
@@ -261,14 +288,7 @@ def _reduced_space(config: dict, out: Path) -> tuple[ParameterSpace, dict]:
     if unknown:
         raise ConfigError(f"inversion dims {unknown} not in parameter space")
     kept = tuple(d for d in space.dims if d.name in dims)
-    fixed = {}
-    for d in space.dims:
-        if d.name not in dims:
-            if not isinstance(d.dist, Uniform):
-                raise ConfigError(f"cannot fix non-uniform dimension {d.name!r}")
-            fixed[d.name] = opts.get("fixed_values", {}).get(
-                d.name, 0.5 * (d.dist.a + d.dist.b))
-    return ParameterSpace(dims=kept), fixed
+    return ParameterSpace(dims=kept), _fixed_values(config, space, dims)
 
 
 def run_invert(config: dict, out: Path, validate: bool = False) -> dict:
@@ -314,25 +334,12 @@ def run_invert(config: dict, out: Path, validate: bool = False) -> dict:
 
     files = {"surrogate": "invert/surrogate.json",
              "measurements": "invert/measurements.json"}
-    validation = None
     if validate:
         rng = np.random.default_rng(opts["validation_seed"])
         box = space.uniform_box()
         samples = box[0] + (box[1] - box[0]) * rng.random((opts["validation_samples"], space.n_dims))
-        ref = model(samples)[:, meas_ids]
-        validation = {"w": [], "n_samples": int(opts["validation_samples"]), "outputs": {}}
-        names = [handle.output_names[i] for i in meas_ids]
-        per_output = {n: {"e_ppe": [], "e_mse": []} for n in names}
-        for w in range(opts["w"] + 1):
-            sub_full = _build_stage_surrogate(space, opts["kind"], w, model,
-                                              handle.output_names)
-            err = validation_errors(_slice_outputs(sub_full, meas_ids, names), ref, samples)
-            validation["w"].append(w)
-            for j, n in enumerate(names):
-                per_output[n]["e_ppe"].append(float(err.e_ppe[j]))
-                per_output[n]["e_mse"].append(float(err.e_mse[j]))
-        validation["outputs"] = per_output
-        _write_json(stage_dir / "validation.json", validation)
+        _write_json(stage_dir / "validation.json",
+                    _validation_table(space, opts, model, meas_ids, samples))
         files["validation"] = "invert/validation.json"
         _log(f"invert: validation at w=0..{opts['w']} done")
 
@@ -346,9 +353,7 @@ def run_invert(config: dict, out: Path, validate: bool = False) -> dict:
     map_result = find_map(meas_surrogate, local_meas, n_starts=opts["n_starts"],
                           seed=opts["start_seed"])
     s2 = sigma_map(map_result.ls_min, local_meas.n)
-    cov = laplace_covariance(meas_surrogate, local_meas, map_result.v_map, s2,
-                             step_jacobian=opts["fd_step_jacobian"],
-                             step_hessian=opts["fd_step_hessian"])
+    cov = laplace_covariance(meas_surrogate, local_meas, map_result.v_map, s2)
     profiles = [profile_likelihood(meas_surrogate, local_meas, n, map_result.v_map,
                                    grid_size=opts["profile_grid"])
                 for n in range(space.n_dims)]
@@ -366,13 +371,6 @@ def run_invert(config: dict, out: Path, validate: bool = False) -> dict:
             "data_evaluations": data_evaluations,
             "grid_points": surrogate.grid.n_points,
             "files": files}
-
-
-def _posterior_space(posterior: PosteriorSpec) -> ParameterSpace:
-    dims = []
-    for name, marginal in zip(posterior.names, posterior.marginals):
-        dims.append(Dim(name, marginal))
-    return ParameterSpace(dims=tuple(dims))
 
 
 def run_forward(config: dict, out: Path, validate: bool = False,
@@ -393,16 +391,9 @@ def run_forward(config: dict, out: Path, validate: bool = False,
                               "(run the inversion stage or pass --prior-only)")
         with open(posterior_file) as fh:
             posterior = PosteriorSpec.from_json_dict(json.load(fh))
-        space_full = _parse_space(config)
-        fixed = {}
-        for d in space_full.dims:
-            if d.name not in posterior.names:
-                if not isinstance(d.dist, Uniform):
-                    raise ConfigError(f"cannot fix non-uniform dimension {d.name!r}")
-                fixed[d.name] = _stage_options(config, "inversion").get(
-                    "fixed_values", {}).get(d.name, 0.5 * (d.dist.a + d.dist.b))
+        fixed = _fixed_values(config, _space_from_json(config["space"]), posterior.names)
 
-    post_space = _posterior_space(posterior)
+    post_space = ParameterSpace.from_pairs(zip(posterior.names, posterior.marginals))
     model = StageModel(handle, post_space, fixed=fixed)
     qoi_ids = _output_ids(handle, opts.get("qoi_outputs"), "strain")
     qoi_names = tuple(handle.output_names[i] for i in qoi_ids)
@@ -415,23 +406,11 @@ def run_forward(config: dict, out: Path, validate: bool = False,
     _log(f"forward: {qoi_surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
 
     files = {}
-    validation = None
     if validate:
         samples = sample_posterior(posterior, opts["validation_samples"],
                                    opts["validation_seed"])
-        ref = model(samples)[:, qoi_ids]
-        validation = {"w": [], "n_samples": int(opts["validation_samples"]), "outputs": {}}
-        per_output = {n: {"e_ppe": [], "e_mse": []} for n in qoi_names}
-        for w in range(opts["w"] + 1):
-            sub_full = _build_stage_surrogate(post_space, opts["kind"], w, model,
-                                              handle.output_names)
-            err = validation_errors(_slice_outputs(sub_full, qoi_ids, qoi_names), ref, samples)
-            validation["w"].append(w)
-            for j, n in enumerate(qoi_names):
-                per_output[n]["e_ppe"].append(float(err.e_ppe[j]))
-                per_output[n]["e_mse"].append(float(err.e_mse[j]))
-        validation["outputs"] = per_output
-        _write_json(stage_dir / "validation.json", validation)
+        _write_json(stage_dir / "validation.json",
+                    _validation_table(post_space, opts, model, qoi_ids, samples))
         files["validation"] = "forward/validation.json"
 
     if compare_prior and not prior_only:

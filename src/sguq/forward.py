@@ -130,9 +130,12 @@ def estimate_density(values: np.ndarray, grid_size: int = KDE_GRID_SIZE) -> Dens
     density = np.zeros(grid_size)
     norm = 1.0 / (len(values) * h * np.sqrt(2.0 * np.pi))
     for start in range(0, len(values), 4096):
-        chunk = values[start:start + 4096]
-        z = (grid[:, None] - chunk[None, :]) / h
-        density += norm * np.exp(-0.5 * z * z).sum(axis=1)
+        # in place: each fresh multi-MB temporary costs page faults on every call
+        z = np.subtract.outer(grid, values[start:start + 4096])
+        z /= h
+        z *= z
+        z *= -0.5
+        density += norm * np.exp(z, out=z).sum(axis=1)
     q05, q95 = np.quantile(values, [0.05, 0.95])
     return DensityEstimate(samples=values, bandwidth=h, grid=grid, density=density,
                            mode=float(grid[np.argmax(density)]),

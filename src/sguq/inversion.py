@@ -4,7 +4,7 @@ The chain: synthetic noisy measurements -> misfit least squares on the
 surrogate -> multi-start Nelder-Mead for the posterior mode (for a uniform
 prior and Gaussian noise the MAP is the least-squares minimizer) -> noise
 variance from the mean squared residual -> local Gaussian (Laplace)
-covariance from finite-difference derivatives -> per-dimension profile
+covariance from the surrogate's exact derivatives -> per-dimension profile
 inspection that classifies each parameter as identifiable (Gaussian marginal)
 or weakly identifiable (uniform marginal on the profile confidence interval).
 """
@@ -46,8 +46,6 @@ CHI2_95 = 3.84
 #: a profile confidence interval wider than this fraction of the prior range
 #: marks the dimension weakly identifiable
 FLAT_FRACTION = 0.5
-FD_STEP_JACOBIAN = 1e-4
-FD_STEP_HESSIAN = 1e-3
 
 
 class InversionError(RuntimeError):
@@ -247,90 +245,38 @@ def sigma_map(ls_min: float, n_measurements: int) -> float:
 class LaplaceCovariance:
     matrix: np.ndarray
     gauss_newton_fallback: bool
-    one_sided_dims: tuple[int, ...]
-
-
-def _fd_offsets(v: np.ndarray, h: np.ndarray, box: np.ndarray):
-    """Per-dim stencil offsets (plus, minus); one-sided at the box edge."""
-    plus = np.where(v + h <= box[1], h, 0.0)
-    minus = np.where(v - h >= box[0], -h, 0.0)
-    return plus, minus
 
 
 def laplace_covariance(surrogate: Surrogate, meas: Measurements, v_map: np.ndarray,
-                       sigma2_map: float,
-                       step_jacobian: float = FD_STEP_JACOBIAN,
-                       step_hessian: float = FD_STEP_HESSIAN) -> LaplaceCovariance:
+                       sigma2_map: float) -> LaplaceCovariance:
     """Gaussian posterior covariance from local curvature at the MAP.
 
-    Builds sigma2 * (J^T J + sum_k M_k H_k)^(-1) with the Jacobian and
-    per-measurement Hessians of the surrogate by finite differences
-    (one-sided and flagged at a box edge).  If the misfit-weighted Hessian
-    term destroys positive definiteness the Gauss-Newton form J^T J is used
-    instead.  A singular J^T J raises, naming the unidentified direction.
+    Builds sigma2 * (J^T J + sum_k M_k H_k)^(-1) with the exact Jacobian and
+    per-measurement Hessians of the surrogate polynomial, valid up to the
+    box edge.  If the misfit-weighted Hessian term destroys positive
+    definiteness the Gauss-Newton form J^T J is used instead.  A
+    rank-deficient J raises, naming the unidentified direction.
     """
     space = surrogate.grid.space
-    box = space.uniform_box()
-    width = box[1] - box[0]
-    v_map = np.asarray(v_map, dtype=float)
     ndim = space.n_dims
-    k = meas.n
-
-    def u_at(v):
-        return _surrogate_at(surrogate, meas, v, warn_outside=False)
-
-    hj = step_jacobian * width
-    pj, mj = _fd_offsets(v_map, hj, box)
-    one_sided = tuple(int(n) for n in range(ndim) if pj[n] == 0.0 or mj[n] == 0.0)
-    jac = np.empty((k, ndim))
-    for n in range(ndim):
-        vp, vm = v_map.copy(), v_map.copy()
-        vp[n] += pj[n]
-        vm[n] += mj[n]
-        jac[:, n] = (u_at(vp) - u_at(vm)) / (pj[n] - mj[n])
+    ids = list(meas.location_ids)
+    u, jac, hess = (a[ids] for a in surrogate.derivatives(np.asarray(v_map, dtype=float)))
 
     jtj = jac.T @ jac
-    eigvals, eigvecs = np.linalg.eigh(jtj)
-    # only structural singularity (an exactly dead direction) is an error; a
-    # weakly identifiable direction may carry a near-zero derivative at an
-    # interior minimum and then simply gets a huge, finite variance
-    if eigvals[-1] <= 0.0 or eigvals[0] <= 0.0:
-        null = eigvecs[:, 0]
+
+    def rank_deficient():
+        null = np.linalg.eigh(jtj)[1][:, 0]
         names = ", ".join(f"{space.names[n]}: {null[n]:+.3f}" for n in range(ndim))
-        raise InversionError(
-            f"J^T J is rank deficient; unidentified direction ({names})",
-            details={"jacobian": jac})
+        return InversionError(f"J^T J is rank deficient; unidentified direction ({names})",
+                              details={"jacobian": jac})
 
-    hh = step_hessian * width
-    ph, mh = _fd_offsets(v_map, hh, box)
-    misfit = meas.values - u_at(v_map)
-    f0 = u_at(v_map)
-    weighted_hessian = np.zeros((ndim, ndim))
-    for n in range(ndim):
-        vp, vm = v_map.copy(), v_map.copy()
-        vp[n] += ph[n]
-        vm[n] += mh[n]
-        if ph[n] != 0.0 and mh[n] != 0.0:
-            d2 = (u_at(vp) - 2.0 * f0 + u_at(vm)) / hh[n] ** 2
-        else:
-            # shifted three-point stencil entirely on the available side
-            s = ph[n] + mh[n]  # +h or -h
-            v2 = v_map.copy()
-            v2[n] += 2.0 * s
-            inner = vp if ph[n] != 0.0 else vm
-            d2 = (f0 - 2.0 * u_at(inner) + u_at(v2)) / hh[n] ** 2
-        weighted_hessian[n, n] = misfit @ d2
-    for n in range(ndim):
-        for m in range(n + 1, ndim):
-            vpp, vpm, vmp, vmm = (v_map.copy() for _ in range(4))
-            vpp[n] += ph[n]; vpp[m] += ph[m]
-            vpm[n] += ph[n]; vpm[m] += mh[m]
-            vmp[n] += mh[n]; vmp[m] += ph[m]
-            vmm[n] += mh[n]; vmm[m] += mh[m]
-            cross = (u_at(vpp) - u_at(vpm) - u_at(vmp) + u_at(vmm)) \
-                / ((ph[n] - mh[n]) * (ph[m] - mh[m]))
-            weighted_hessian[n, m] = weighted_hessian[m, n] = misfit @ cross
+    # only structural singularity (a direction dead to rounding) is an error;
+    # a weakly identifiable direction may carry a near-zero derivative at an
+    # interior minimum and then simply gets a huge, finite variance
+    if np.linalg.matrix_rank(jac) < ndim:
+        raise rank_deficient()
 
+    weighted_hessian = np.einsum("k,knm->nm", meas.values - u, hess)
     inner = jtj + weighted_hessian
     inner = 0.5 * (inner + inner.T)
     fallback = False
@@ -342,11 +288,7 @@ def laplace_covariance(surrogate: Surrogate, meas: Measurements, v_map: np.ndarr
     try:
         cov = sigma2_map * np.linalg.inv(inner)
     except np.linalg.LinAlgError as exc:
-        null = eigvecs[:, 0]
-        names = ", ".join(f"{space.names[n]}: {null[n]:+.3f}" for n in range(ndim))
-        raise InversionError(
-            f"J^T J is rank deficient; unidentified direction ({names})",
-            details={"jacobian": jac}) from exc
+        raise rank_deficient() from exc
     cov = 0.5 * (cov + cov.T)
     # validate definiteness in correlation form: the per-dim variances may
     # differ by many orders of magnitude, which would swamp a raw eigencheck
@@ -360,8 +302,7 @@ def laplace_covariance(surrogate: Surrogate, meas: Measurements, v_map: np.ndarr
     except np.linalg.LinAlgError:
         raise InversionError("posterior covariance is not positive definite",
                              details={"matrix": cov}) from None
-    return LaplaceCovariance(matrix=cov, gauss_newton_fallback=fallback,
-                             one_sided_dims=one_sided)
+    return LaplaceCovariance(matrix=cov, gauss_newton_fallback=fallback)
 
 
 def profile_likelihood(surrogate: Surrogate, meas: Measurements, dim: int,
@@ -510,7 +451,6 @@ def inversion_report_json_dict(meas: Measurements, map_result: MapResult,
         ],
         "covariance": [[float(x) for x in row] for row in covariance.matrix],
         "gauss_newton_fallback": covariance.gauss_newton_fallback,
-        "one_sided_dims": list(covariance.one_sided_dims),
         "profiles": [
             {"dim": posterior.names[n], "grid": [float(x) for x in g],
              "ls": [float(x) for x in l]}

@@ -23,7 +23,6 @@ __all__ = [
     "ExternalModel",
     "ExternalModelError",
     "register_builtin",
-    "evaluate_model",
     "BUILTIN_NAMES",
     "ishigami",
     "beam_proxy",
@@ -287,7 +286,3 @@ class ExternalModel:
                 f"values for {label}; expected {n_rows} x {self.n_outputs}")
         return out
 
-
-def evaluate_model(handle, batch: np.ndarray) -> np.ndarray:
-    """Order-preserving batch evaluation of a builtin or external handle."""
-    return handle.evaluate(batch)

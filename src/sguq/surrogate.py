@@ -1,10 +1,21 @@
-"""Sparse-grid construction and combination-technique surrogates.
+"""Sparse-grid construction and modal sparse-grid surrogates.
 
 A sparse grid is the union of small Cartesian ("tensor") grids, selected by a
-downward-closed multi-index set, evaluated with signed combination
-coefficients.  Each tensor interpolant is a tensor-product Lagrange
-interpolant; univariate factors are evaluated in second-form barycentric
-arithmetic for stability at 7+ points.
+downward-closed multi-index set and weighted by signed combination
+coefficients.  The knots are nested Leja sequences, so every global point has
+a per-dimension position in its sequence, and these positions form a lower
+set Lambda of polynomial degrees with |Lambda| = M points.  The combination of
+tensor Lagrange interpolants is then the unique interpolant in the span of
+the monomial degrees in Lambda (Chkifa, Cohen & Schwab, FoCM 2014).
+
+A surrogate stores that interpolant once, as coefficients in a product basis
+that is orthonormal per dimension: Legendre polynomials for a uniform
+parameter, probabilists' Hermite polynomials for a Gaussian one.  They are
+computed tensor grid by tensor grid with small 1-D Vandermonde inverses and
+summed with the combination coefficients.  Evaluation, Jacobians and
+Hessians all come from three-term-recurrence tables of the 1-D basis.
+``tensor_interpolate`` (barycentric tensor Lagrange) is kept as the
+independent reference.
 
 The surrogate of a P-valued model stores one value vector per global grid
 point, so any number of outputs share a single set of model runs.
@@ -13,7 +24,7 @@ point, so any number of outputs share a single set of model runs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -25,7 +36,7 @@ from .indices import (
     index_set_to_json_dict,
     is_downward_closed,
 )
-from .knots import GaussianLeja, UniformLeja, knots_for_level
+from .knots import GaussianLeja, UniformLeja, knots_for_level, level_to_knots
 
 __all__ = [
     "Uniform",
@@ -45,8 +56,10 @@ __all__ = [
     "surrogate_from_json_dict",
 ]
 
-#: two global points closer than this (relative to the per-dim scale) are a bug
+#: two distinct knots closer than this (relative to the per-dim scale) are a bug
 DEDUP_RTOL = 1e-12
+#: points per block in batch evaluation; bounds the (block x M) basis matrix
+EVAL_BLOCK_ROWS = 256
 
 
 class ExtrapolationWarning(UserWarning):
@@ -146,14 +159,11 @@ class TensorGrid:
         return np.column_stack([m.ravel() for m in mesh])
 
 
-def _bary_weights(knots: np.ndarray) -> np.ndarray:
+def _lagrange_rows(knots: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Barycentric cardinal-function values; rows sum to 1, exact at knots."""
     diff = knots[:, None] - knots[None, :]
     np.fill_diagonal(diff, 1.0)
-    return 1.0 / np.prod(diff, axis=1)
-
-
-def _lagrange_rows(knots: np.ndarray, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Barycentric cardinal-function values; rows sum to 1, exact at knots."""
+    weights = 1.0 / np.prod(diff, axis=1)
     diff = v[:, None] - knots[None, :]
     exact = diff == 0.0
     num = weights[None, :] / np.where(exact, 1.0, diff)
@@ -174,7 +184,7 @@ class SparseGrid:
     tensor_grids: tuple[TensorGrid, ...]          # only c_i != 0
     tensor_coeffs: tuple[int, ...]
     tensor_maps: tuple[np.ndarray, ...]           # flat grid order -> global ids
-    _bary: tuple = field(repr=False, default=())  # per grid: per-dim weights
+    degrees: np.ndarray                           # (M, N) per-dim knot position
 
     @property
     def n_points(self) -> int:
@@ -190,54 +200,39 @@ def build_sparse_grid(space: ParameterSpace, mset: MultiIndexSet) -> SparseGrid:
         raise ValueError("index set is not downward closed")
     coeffs = combination_coefficients(mset)
     families = [space.knot_family(n) for n in range(space.n_dims)]
+    top = np.max(mset.indices, axis=0)
+    # nested sequences: every grid's knots are prefixes of these, bit for bit
+    sequences = [knots_for_level(families[n], int(top[n])) for n in range(space.n_dims)]
+    _assert_separated(sequences, space.scales())
 
-    point_ids: dict[tuple[float, ...], int] = {}
-    global_points: list[tuple[float, ...]] = []
-    grids, gcoeffs, maps, bary = [], [], [], []
-    for idx in mset.indices:
-        c = coeffs[idx]
-        if c == 0:
-            continue
-        knots = tuple(knots_for_level(families[n], idx[n]) for n in range(space.n_dims))
-        grid = TensorGrid(index=idx, knots=knots)
-        ids = np.empty(grid.n_points, dtype=np.int64)
-        for j, p in enumerate(map(tuple, grid.points())):
-            pid = point_ids.get(p)
-            if pid is None:
-                pid = len(global_points)
-                point_ids[p] = pid
-                global_points.append(p)
-            ids[j] = pid
-        grids.append(grid)
-        gcoeffs.append(c)
-        maps.append(ids)
-        bary.append(tuple(_bary_weights(k) for k in knots))
-
-    points = np.array(global_points)
-    _assert_separated(points, space.scales())
+    grids = [TensorGrid(index=idx, knots=tuple(seq[:level_to_knots(i)]
+                                               for seq, i in zip(sequences, idx)))
+             for idx in mset.indices if coeffs[idx] != 0]
+    # a point is identified by its per-dim knot positions, which are also its
+    # modal degrees; global ids follow the order of first appearance
+    positions = np.vstack([np.indices(g.shape).reshape(space.n_dims, -1).T for g in grids])
+    _, first, inverse = np.unique(positions, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    degrees = positions[first[order]]
+    points = np.column_stack([seq[degrees[:, n]] for n, seq in enumerate(sequences)])
+    maps = np.split(rank[inverse.ravel()], np.cumsum([g.n_points for g in grids])[:-1])
     return SparseGrid(
         space=space, index_set=mset, coefficients=coeffs, points=points,
-        tensor_grids=tuple(grids), tensor_coeffs=tuple(gcoeffs),
-        tensor_maps=tuple(maps), _bary=tuple(bary),
+        tensor_grids=tuple(grids), tensor_coeffs=tuple(coeffs[g.index] for g in grids),
+        tensor_maps=tuple(maps), degrees=degrees,
     )
 
 
-def _assert_separated(points: np.ndarray, scales: np.ndarray):
-    # nested knot caching makes duplicates bit-equal; anything closer than
-    # DEDUP_RTOL that survived exact dedup indicates a broken knot cache
-    m = len(points)
-    if m < 2:
-        return
-    z = points / scales[None, :]
-    for start in range(0, m, 512):
-        chunk = z[start:start + 512]
-        d = np.abs(chunk[:, None, :] - z[None, :, :]).max(axis=2)
-        near = d < DEDUP_RTOL
-        near[np.arange(len(chunk)), start + np.arange(len(chunk))] = False
-        if near.any():
-            i, j = np.argwhere(near)[0]
+def _assert_separated(sequences, scales: np.ndarray):
+    # points are products of per-dim knots, so distinct points are separated
+    # iff the knots of every dimension are; knots closer than DEDUP_RTOL
+    # indicate a broken knot cache
+    for n, seq in enumerate(sequences):
+        if np.any(np.diff(np.sort(seq)) < DEDUP_RTOL * scales[n]):
             raise AssertionError(
-                f"global points {start + i} and {j} are within {DEDUP_RTOL} relative distance")
+                f"two knots of dimension {n} are within {DEDUP_RTOL} relative distance")
 
 
 def tensor_interpolate(grid: TensorGrid, values: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -261,28 +256,81 @@ def tensor_interpolate(grid: TensorGrid, values: np.ndarray, v: np.ndarray) -> n
     if vals.shape[0] != grid.n_points:
         raise ValueError(
             f"expected {grid.n_points} values for grid {grid.index}, got {vals.shape[0]}")
-    cube = vals.reshape(grid.shape + (vals.shape[1],))
-    out = _contract(cube, grid.knots,
-                    tuple(_bary_weights(k) for k in grid.knots), V)
+    out = vals.reshape(grid.shape + (vals.shape[1],))
+    for n, knots in enumerate(grid.knots):
+        rows = _lagrange_rows(knots, V[:, n])
+        out = np.einsum("qa,a...->q...", rows, out) if n == 0 else \
+            np.einsum("qa,qa...->q...", rows, out)
     if scalar_output:
         out = out[:, 0]
     return out[0] if single else out
 
 
-def _contract(cube: np.ndarray, knots, weights, V: np.ndarray) -> np.ndarray:
-    rows = [_lagrange_rows(k, w, V[:, n]) for n, (k, w) in enumerate(zip(knots, weights))]
-    out = np.einsum("qa,a...->q...", rows[0], cube)
-    for r in rows[1:]:
-        out = np.einsum("qa,qa...->q...", r, out)
+def _basis_tables(dists, X: np.ndarray, degree: int, derivatives: int = 0) -> np.ndarray:
+    """Orthonormal 1-D bases phi_0..phi_degree of marginals and their derivatives.
+
+    X holds one column per marginal in ``dists``; the result has shape
+    (derivatives + 1, len(X), len(dists), degree + 1).  On the standardized
+    variable t each basis obeys t phi_k = b_{k+1} phi_{k+1} + b_k phi_{k-1},
+    with b_k = k / sqrt(4k^2 - 1) (Legendre, uniform on [-1, 1]) or
+    b_k = sqrt(k) (probabilists' Hermite); differentiating r times adds
+    r phi_k^(r-1) to the left-hand side.
+    """
+    k = np.arange(1, degree + 1, dtype=float)
+    uniform = [isinstance(d, Uniform) for d in dists]
+    center = np.array([0.5 * (d.a + d.b) if u else d.mean for d, u in zip(dists, uniform)])
+    half = np.array([0.5 * (d.b - d.a) if u else d.std for d, u in zip(dists, uniform)])
+    b = np.array([k / np.sqrt(4 * k * k - 1) if u else np.sqrt(k) for u in uniform])
+    t = (np.asarray(X, dtype=float) - center) / half
+    out = np.zeros((derivatives + 1,) + t.shape + (degree + 1,))
+    out[0, ..., 0] = 1.0
+    for j in range(degree):
+        for r in range(derivatives + 1):
+            nxt = t * out[r, ..., j]
+            if r:
+                nxt += r * out[r - 1, ..., j]
+            if j:
+                nxt -= b[:, j - 1] * out[r, ..., j - 1]
+            out[r, ..., j + 1] = nxt / b[:, j]
+    for r in range(1, derivatives + 1):
+        out[r] /= half[:, None] ** r
+    return out
+
+
+def _modal_coefficients(grid: SparseGrid, values: np.ndarray) -> np.ndarray:
+    """Coefficients of the combination-technique interpolant in the modal basis.
+
+    Row i belongs to the degree multi-index grid.degrees[i].  Each tensor
+    grid's values are converted axis by axis with the 1-D Vandermonde
+    matrices of its knots, then summed with the combination coefficients; no
+    M x M system is formed.  The 1-D systems are solved, not inverted: at 17
+    Gaussian knots (condition 2e5) an explicit inverse loses three digits.
+    """
+    # knots are nested, so each grid's Vandermonde is a leading block of the longest
+    vandermonde = []
+    for n, d in enumerate(grid.space.dims):
+        knots = max((g.knots[n] for g in grid.tensor_grids), key=len)
+        vandermonde.append(_basis_tables([d.dist], knots[:, None], len(knots) - 1)[0, :, 0])
+    out = np.zeros((grid.n_points, values.shape[1]))
+    for tgrid, c, ids in zip(grid.tensor_grids, grid.tensor_coeffs, grid.tensor_maps):
+        cube = values[ids].reshape(tgrid.shape + (values.shape[1],))
+        for n, m in enumerate(tgrid.shape):
+            axis_first = np.moveaxis(cube, n, 0)
+            solved = np.linalg.solve(vandermonde[n][:m, :m], axis_first.reshape(m, -1))
+            cube = np.moveaxis(solved.reshape(axis_first.shape), 0, n)
+        out[ids] += c * cube.reshape(len(ids), -1)
     return out
 
 
 @dataclass
 class Surrogate:
-    """Sparse-grid surrogate: grid plus one value row per global point.
+    """Sparse-grid surrogate: grid, one value row per global point, modal form.
 
-    ``values`` has shape (M, P): M global points, P outputs.  The instance is
-    treated as immutable once constructed; evaluation is reentrant.
+    ``values`` has shape (M, P): M global points, P outputs.  On construction
+    the values are converted once into ``modal_coefficients`` (M, P), row i
+    for the degree multi-index ``grid.degrees[i]``; every evaluation uses
+    them.  The instance is treated as immutable once constructed; evaluation
+    is reentrant.
     """
 
     grid: SparseGrid
@@ -306,7 +354,7 @@ class Surrogate:
             raise ValueError(
                 f"non-finite value for output {self.output_names[k]!r} at grid point "
                 f"{i} = {self.grid.points[i].tolist()}")
-        self._cubes = None
+        self.modal_coefficients = _modal_coefficients(self.grid, self.values)
 
     @property
     def n_outputs(self) -> int:
@@ -320,16 +368,15 @@ class Surrogate:
             vals = vals[:, None]
         return cls(grid=grid, values=vals, output_names=tuple(output_names))
 
-    def _tensor_cubes(self):
-        if self._cubes is None:
-            cubes = []
-            for grid, ids in zip(self.grid.tensor_grids, self.grid.tensor_maps):
-                cubes.append(self.values[ids].reshape(grid.shape + (self.n_outputs,)))
-            self._cubes = tuple(cubes)
-        return self._cubes
+    def _factors(self, V: np.ndarray, derivatives: int = 0) -> list[np.ndarray]:
+        """Per dim: basis values (and derivatives) at V, one column per degree row."""
+        deg = self.grid.degrees
+        tables = _basis_tables([d.dist for d in self.grid.space.dims], V, int(deg.max()),
+                               derivatives)
+        return [tables[:, :, n, deg[:, n]] for n in range(deg.shape[1])]
 
     def evaluate(self, v: np.ndarray, warn_outside: bool = True) -> np.ndarray:
-        """Combination-technique evaluation: sum of c_i times tensor interpolants.
+        """Evaluate the interpolant: modal basis rows times the coefficients.
 
         Accepts a single point (N,) or a batch (Q, N); returns (P,) or (Q, P).
         Points outside a uniform parameter's interval are evaluated by
@@ -343,24 +390,30 @@ class Surrogate:
         if warn_outside:
             self._warn_outside(V)
 
-        # cardinal rows are shared between tensor grids with equal per-dim level
-        row_cache: dict[tuple[int, int], np.ndarray] = {}
-        out = np.zeros((len(V), self.n_outputs))
-        for grid, c, wts, cube in zip(self.grid.tensor_grids, self.grid.tensor_coeffs,
-                                      self.grid._bary, self._tensor_cubes()):
-            rows = []
-            for n, (knots, w) in enumerate(zip(grid.knots, wts)):
-                key = (n, len(knots))
-                r = row_cache.get(key)
-                if r is None:
-                    r = _lagrange_rows(knots, w, V[:, n])
-                    row_cache[key] = r
-                rows.append(r)
-            t = np.einsum("qa,a...->q...", rows[0], cube)
-            for r in rows[1:]:
-                t = np.einsum("qa,qa...->q...", r, t)
-            out += c * t
+        out = np.empty((len(V), self.n_outputs))
+        for start in range(0, len(V), EVAL_BLOCK_ROWS):
+            factors = self._factors(V[start:start + EVAL_BLOCK_ROWS])
+            rows = factors[0][0]
+            for f in factors[1:]:
+                rows *= f[0]
+            out[start:start + EVAL_BLOCK_ROWS] = rows @ self.modal_coefficients
         return out[0] if single else out
+
+    def derivatives(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact value (P,), Jacobian (P, N) and Hessian (P, N, N) at one point."""
+        v = np.asarray(v, dtype=float)
+        ndim = self.grid.space.n_dims
+        factors = np.array([f[:, 0] for f in self._factors(v[None, :], derivatives=2)])
+
+        def term(order):
+            # order[n] = derivative order in dim n
+            return np.prod(factors[np.arange(ndim), order], axis=0) @ self.modal_coefficients
+
+        eye = np.eye(ndim, dtype=int)
+        jac = np.array([term(eye[n]) for n in range(ndim)]).T
+        hess = np.array([[term(eye[n] + eye[m]) for m in range(ndim)]
+                         for n in range(ndim)]).transpose(2, 0, 1)
+        return term(np.zeros(ndim, dtype=int)), jac, hess
 
     def _warn_outside(self, V: np.ndarray):
         for n, d in enumerate(self.grid.space.dims):

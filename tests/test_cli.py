@@ -57,6 +57,27 @@ def test_missing_config_file_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_misspelled_stage_option_exits_2_and_names_it(tmp_path, capsys):
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"], "n_start": 4})
+    assert main(["invert", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "n_start" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "invert" / "inversion.json").exists()
+
+
+def test_removed_finite_difference_step_exits_2(tmp_path):
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"], "fd_step_jacobian": 1e-4})
+    assert main(["invert", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+
+
+def test_invalid_space_exits_2(tmp_path):
+    cfg = beam_config()
+    cfg["space"][0]["range"] = [1450, 1130]
+    assert main(["gsa", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+
+
 def test_invalid_model_exits_2(tmp_path):
     cfg = beam_config(model={"builtin": "heat_equation"})
     assert main(["gsa", "--config", write_config(tmp_path, cfg),

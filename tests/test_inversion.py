@@ -238,25 +238,42 @@ def test_laplace_linear_gaussian_matches_analytic():
     expected = s2 * np.linalg.inv(amat.T @ amat)
     assert np.max(np.abs(cov.matrix - expected)) < 1e-6
     assert not cov.gauss_newton_fallback
-    assert cov.one_sided_dims == ()
 
 
 def test_laplace_jacobian_matches_secant_oracle(beam_surrogate, beam_measurements):
-    # compare the internal 1e-4-step Jacobian against a 1e-3-step secant at a
-    # point where both parameters have O(1) sensitivity
+    # the surrogate's analytic Jacobian, which laplace_covariance uses, against
+    # a 1e-3-step central secant at a point where both parameters have O(1)
+    # sensitivity
     v = np.array([1340.0, -1.2])
-    width = np.array([320.0, 5.0])
-    h_lib, h_oracle = 1e-4 * width, 1e-3 * width
+    h = 1e-3 * np.array([320.0, 5.0])
     ids = list(beam_measurements.location_ids)
-
-    def col(h, n):
+    jac = beam_surrogate.derivatives(v)[1][ids]
+    for n in range(2):
         e = np.zeros(2)
         e[n] = h[n]
-        return (beam_surrogate.evaluate(v + e) - beam_surrogate.evaluate(v - e))[ids] / (2 * h[n])
+        oracle = (beam_surrogate.evaluate(v + e) - beam_surrogate.evaluate(v - e))[ids] / (2 * h[n])
+        assert np.max(np.abs(jac[:, n] - oracle) / np.abs(oracle)) < 1e-4
 
+
+def test_laplace_hessian_matches_finite_difference_oracle(beam_surrogate):
+    v = np.array([1340.0, -1.2])
+    h = 1e-3 * np.array([320.0, 5.0])
+    hess = beam_surrogate.derivatives(v)[2]
+
+    def f(dn, dm, n, m):
+        p = v.copy()
+        p[n] += dn * h[n]
+        p[m] += dm * h[m]
+        return beam_surrogate.evaluate(p)
+
+    oracle = np.empty_like(hess)
     for n in range(2):
-        lib, oracle = col(h_lib, n), col(h_oracle, n)
-        assert np.max(np.abs(lib - oracle) / np.abs(oracle)) < 1e-4
+        for m in range(2):
+            oracle[:, n, m] = (f(1, 1, n, m) - f(1, -1, n, m) - f(-1, 1, n, m)
+                               + f(-1, -1, n, m)) / (4 * h[n] * h[m])
+    # the displacements are linear in T_A plus a function of log_h_p, so the
+    # log_h_p curvature is the only nonzero entry and sets the scale
+    assert np.max(np.abs(hess - oracle)) < 1e-4 * np.abs(hess).max()
 
 
 def test_laplace_symmetric_positive_definite(beam_inversion):
@@ -293,10 +310,12 @@ def test_laplace_gauss_newton_fallback_triggers():
     assert np.allclose(cov.matrix, np.linalg.inv(jtj), atol=1e-6)
 
 
-def test_laplace_one_sided_flag_at_boundary(beam_surrogate, beam_measurements):
+def test_laplace_at_box_edge_is_finite_spd(beam_surrogate, beam_measurements):
     cov = laplace_covariance(beam_surrogate, beam_measurements,
                              np.array([1340.0, -5.0]), 1e-4)
-    assert cov.one_sided_dims == (1,)
+    assert np.all(np.isfinite(cov.matrix))
+    assert np.array_equal(cov.matrix, cov.matrix.T)
+    assert np.all(np.linalg.eigvalsh(cov.matrix) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +383,7 @@ def test_build_posterior_flat_profile_gives_full_range_uniform():
         (grid, np.full(101, 1e-6)),
     ]
     map_result = type("M", (), {"v_map": np.array([0.5, 0.0]), "ls_min": 1e-6})()
-    cov = LaplaceCovariance(matrix=np.diag([1e-4, 1e2]), gauss_newton_fallback=False,
-                            one_sided_dims=())
+    cov = LaplaceCovariance(matrix=np.diag([1e-4, 1e2]), gauss_newton_fallback=False)
     post = build_posterior(map_result, cov, profiles, space, sigma2_map=1e-6)
     assert post.classification == ("identifiable", "weakly_identifiable")
     assert (post.marginals[1].a, post.marginals[1].b) == (-2.0, 2.0)

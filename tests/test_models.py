@@ -12,7 +12,6 @@ from sguq.models import (
     ExternalModel,
     ExternalModelError,
     beam_proxy,
-    evaluate_model,
     ishigami,
     quadratic_test,
     QUADRATIC_CENTER,
@@ -77,8 +76,8 @@ def test_batch_order_preserved():
     rng = np.random.default_rng(0)
     batch = np.column_stack([rng.uniform(1130, 1450, 20), rng.uniform(-5, 0, 20)])
     perm = rng.permutation(20)
-    out = evaluate_model(m, batch)
-    assert np.array_equal(evaluate_model(m, batch[perm]), out[perm])
+    out = m.evaluate(batch)
+    assert np.array_equal(m.evaluate(batch[perm]), out[perm])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ def test_dimension_mismatch_rejected():
     space = uniform_space([(0, 1)] * 2)
     with pytest.raises(ValueError):
         build_sparse_grid(space, generate_index_set("sum", 3, 1))
+
+
+def test_grid_degrees_form_a_lower_set_of_size_m():
+    space = uniform_space([(0, 1)] * 4)
+    grid = build_sparse_grid(space, generate_index_set("sum", 4, 3))
+    degrees = {tuple(k) for k in grid.degrees.tolist()}
+    assert len(degrees) == grid.n_points
+    for k in degrees:
+        for n in range(4):
+            if k[n] > 0:
+                assert k[:n] + (k[n] - 1,) + k[n + 1:] in degrees
 
 
 def test_grid_points_are_distinct():
@@ -207,6 +219,72 @@ def test_gaussian_dims_build_and_evaluate():
     assert np.max(np.abs(sur.evaluate(v) - ref)) <= 1e-10 * np.abs(ref).max()
 
 
+def combination_reference(sur, v):
+    """Sum of c_i times the barycentric tensor Lagrange interpolants."""
+    grid = sur.grid
+    out = np.zeros((len(v), sur.n_outputs))
+    for tgrid, c, ids in zip(grid.tensor_grids, grid.tensor_coeffs, grid.tensor_maps):
+        out += c * tensor_interpolate(tgrid, sur.values[ids], v)
+    return out
+
+
+def sample_space(space, n, seed):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([
+        rng.uniform(d.dist.a, d.dist.b, n) if isinstance(d.dist, Uniform)
+        else rng.normal(d.dist.mean, d.dist.std, n)
+        for d in space.dims])
+
+
+@pytest.mark.parametrize("space,kind,w", [
+    (uniform_space([(1130, 1450), (-5, 0)]), "sum", 3),
+    (uniform_space([(-np.pi, np.pi)] * 3), "sum", 6),
+    (uniform_space([(-1, 1), (0.5, 2.0)]), "max", 3),
+    (uniform_space([(0, 1)] * 8), "sum", 2),
+    (ParameterSpace.from_pairs([("t", Gaussian(10.0, 2.0)), ("x", Uniform(0, 1))]), "sum", 3),
+    (ParameterSpace.from_pairs([("t", Gaussian(0.0, 1.0))]), "sum", 8),
+    (ParameterSpace.from_pairs([(f"g{i}", Gaussian(i - 1.0, 0.5 + i)) for i in range(4)]),
+     "sum", 3),
+])
+def test_modal_evaluation_matches_combination_reference(space, kind, w):
+    grid = build_sparse_grid(space, generate_index_set(kind, space.n_dims, w))
+
+    def model(p):
+        z = (p - p.mean(axis=0)) / p.std(axis=0).clip(1e-12)
+        return np.column_stack([np.sin(z.sum(axis=1)), np.exp(0.3 * z[:, 0]) + z[:, -1] ** 3,
+                                np.full(len(p), 2.5)])
+
+    sur = Surrogate.from_model(grid, lambda p: model(np.vstack([p, grid.points]))[:len(p)])
+    v = sample_space(space, 300, 21)
+    with np.errstate(all="raise"):
+        got = sur.evaluate(v, warn_outside=False)
+    ref = combination_reference(sur, v)
+    assert np.all(np.abs(got - ref).max(axis=0) <= 1e-12 * np.abs(ref).max(axis=0))
+
+
+def test_evaluation_blocks_match_single_points():
+    space = uniform_space([(0, 1)] * 3)
+    grid = build_sparse_grid(space, generate_index_set("sum", 3, 3))
+    sur = Surrogate.from_model(
+        grid, lambda p: np.column_stack([p.prod(axis=1), np.cos(p).sum(axis=1)]))
+    v = random_points(space, 700, 22)
+    batch = sur.evaluate(v)
+    single = np.array([sur.evaluate(p) for p in v[::50]])
+    assert np.allclose(batch[::50], single, rtol=1e-14, atol=1e-14)
+
+
+def test_derivatives_of_a_polynomial_are_exact():
+    space = ParameterSpace.from_pairs([("t", Gaussian(1.0, 0.5)), ("x", Uniform(-2.0, 3.0))])
+    grid = build_sparse_grid(space, generate_index_set("max", 2, 2))
+    sur = Surrogate.from_model(grid, lambda p: (p[:, 0] ** 3 * p[:, 1] + p[:, 1] ** 4)[:, None])
+    t, x = 1.3, 2.9
+    value, jac, hess = sur.derivatives(np.array([t, x]))
+    assert value[0] == pytest.approx(t ** 3 * x + x ** 4, rel=1e-12)
+    assert jac[0] == pytest.approx([3 * t ** 2 * x, t ** 3 + 4 * x ** 3], rel=1e-12)
+    assert hess[0] == pytest.approx(np.array([[6 * t * x, 3 * t ** 2],
+                                              [3 * t ** 2, 12 * x ** 2]]), rel=1e-11)
+
+
 # ---------------------------------------------------------------------------
 # hierarchical detail decomposition
 # ---------------------------------------------------------------------------
@@ -299,3 +377,14 @@ def test_surrogate_json_round_trip_is_exact():
     assert back.output_names == sur.output_names
     v = np.array([3.1, -2.0])
     assert back.evaluate(v).tolist() == sur.evaluate(v).tolist()
+
+
+def test_surrogate_json_from_version_0_1_loads_and_evaluates():
+    # written by sguq 0.1.0, which stored the values and evaluated them by the
+    # combination technique; the evaluations are that version's own
+    data = Path(__file__).parent / "data"
+    sur = surrogate_from_json_dict(json.loads((data / "surrogate_v0.json").read_text()))
+    expected = json.loads((data / "surrogate_v0_evaluations.json").read_text())
+    ref = np.array(expected["values"])
+    got = sur.evaluate(np.array(expected["points"]), warn_outside=False)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
