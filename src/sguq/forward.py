@@ -2,7 +2,8 @@
 
 Samples of the (prior or posterior) parameter distribution are pushed through
 a quantity-of-interest surrogate; each output location gets a Gaussian-kernel
-density estimate with Silverman bandwidth, a grid-based mode and empirical
+density estimate with Silverman bandwidth (linearly binned and convolved by
+FFT, after Silverman's Algorithm AS 176), a grid-based mode and empirical
 5%/95% quantiles.  Comparing the posterior band against the prior-based band
 quantifies the uncertainty reduction bought by the measurement data.
 """
@@ -29,6 +30,10 @@ __all__ = [
 ]
 
 KDE_GRID_SIZE = 512
+#: the binned KDE bins finer than the output grid until a bandwidth spans this
+#: many cells, up to KDE_MAX_REFINE sub-cells per output cell
+KDE_BINS_PER_BANDWIDTH = 8
+KDE_MAX_REFINE = 64
 MIN_KDE_SAMPLES = 100
 #: below this acceptance rate the truncated-Gaussian rejection sampler aborts
 MIN_ACCEPTANCE = 0.01
@@ -101,42 +106,62 @@ class DensityEstimate:
         return self.q95 - self.q05
 
 
-def _silverman_bandwidth(values: np.ndarray) -> float:
+def _silverman_bandwidth(values: np.ndarray, iqr: float) -> float:
     # 0.9 min(std, IQR/1.34) n^(-1/5); falls back to std when the IQR
     # collapses under heavy ties
     std = float(np.std(values, ddof=1))
-    q75, q25 = np.percentile(values, [75.0, 25.0])
-    iqr = q75 - q25
     spread = min(std, iqr / 1.34) if iqr > 0.0 else std
     return 0.9 * spread * len(values) ** (-0.2)
 
 
 def estimate_density(values: np.ndarray, grid_size: int = KDE_GRID_SIZE) -> DensityEstimate:
-    """KDE with Silverman bandwidth on a uniform grid spanning the samples.
+    """Binned Gaussian KDE with Silverman bandwidth on a uniform grid.
 
     The grid covers [min - 3h, max + 3h] so that virtually all kernel mass is
     captured; the trapezoid integral of the density is then 1 to about 1e-3.
+    The samples are linearly binned onto the grid, refined until a bandwidth
+    spans KDE_BINS_PER_BANDWIDTH cells, and the bin weights are convolved
+    with the kernel sampled at the grid lags by a zero-padded FFT (Silverman,
+    "Algorithm AS 176: kernel density estimation using the fast Fourier
+    transform", Applied Statistics 1982).  That costs O(n + G log G) instead
+    of the O(nG) direct kernel sum, which it matches to within 5e-4 of the
+    peak.
     """
     values = np.asarray(values, dtype=float).ravel()
     if len(values) < MIN_KDE_SAMPLES:
         raise ValueError(f"density estimation needs >= {MIN_KDE_SAMPLES} values, got {len(values)}")
+    if grid_size < 2:
+        raise ValueError(f"density grid needs >= 2 points, got {grid_size}")
     vmin, vmax = float(values.min()), float(values.max())
     if vmax == vmin:
         return DensityEstimate(samples=values, bandwidth=0.0,
                                grid=np.array([vmin]), density=np.array([np.nan]),
                                mode=vmin, q05=vmin, q95=vmin, degenerate=True)
-    h = _silverman_bandwidth(values)
-    grid = np.linspace(vmin - 3.0 * h, vmax + 3.0 * h, grid_size)
-    density = np.zeros(grid_size)
-    norm = 1.0 / (len(values) * h * np.sqrt(2.0 * np.pi))
-    for start in range(0, len(values), 4096):
-        # in place: each fresh multi-MB temporary costs page faults on every call
-        z = np.subtract.outer(grid, values[start:start + 4096])
-        z /= h
-        z *= z
-        z *= -0.5
-        density += norm * np.exp(z, out=z).sum(axis=1)
-    q05, q95 = np.quantile(values, [0.05, 0.95])
+    q05, q25, q75, q95 = np.quantile(values, [0.05, 0.25, 0.75, 0.95])
+    h = _silverman_bandwidth(values, q75 - q25)
+    lo, hi = vmin - 3.0 * h, vmax + 3.0 * h
+    grid = np.linspace(lo, hi, grid_size)
+    # bin on a grid `refine` times finer than the output grid; linear binning
+    # errs by up to about 0.03 (cell / h)^2 of the peak
+    step = (hi - lo) / (grid_size - 1)
+    refine = min(int(np.ceil(KDE_BINS_PER_BANDWIDTH * step / h)), KDE_MAX_REFINE)
+    cells, cell = refine * (grid_size - 1) + 1, step / refine
+    pos = (values - lo) / cell
+    left = np.minimum(pos.astype(np.intp), cells - 2)
+    frac = pos - left
+    bins = (np.bincount(left, weights=1.0 - frac, minlength=cells)
+            + np.bincount(left + 1, weights=frac, minlength=cells))
+    # kernel at lags 0..cells-1 and -(cells-1)..-1; length 2 cells keeps the
+    # circular convolution from wrapping
+    lags = np.exp(-0.5 * (np.arange(cells) * (cell / h)) ** 2)
+    kernel = np.zeros(2 * cells)
+    kernel[:cells] = lags
+    kernel[cells + 1:] = lags[:0:-1]
+    density = np.fft.irfft(np.fft.rfft(bins, 2 * cells) * np.fft.rfft(kernel),
+                           2 * cells)[:cells:refine]
+    # the FFT leaves rounding-sized negatives in the far tails
+    np.maximum(density, 0.0, out=density)
+    density *= 1.0 / (len(values) * h * np.sqrt(2.0 * np.pi))
     return DensityEstimate(samples=values, bandwidth=h, grid=grid, density=density,
                            mode=float(grid[np.argmax(density)]),
                            q05=float(q05), q95=float(q95))
@@ -205,14 +230,14 @@ def write_densities_json(path, comparison: BandComparison, location_ids):
         for tag, d in (("prior", comparison.prior[j]), ("posterior", comparison.posterior[j])):
             entry[tag] = {
                 "bandwidth": float(d.bandwidth),
-                "grid": [float(x) for x in d.grid],
-                "density": [float(x) for x in d.density],
+                "grid": d.grid.tolist(),
+                "density": d.density.tolist(),
                 "mode": float(d.mode),
                 "q05": float(d.q05),
                 "q95": float(d.q95),
                 "degenerate": d.degenerate,
             }
         out.append(entry)
+    # one-shot dumps runs the C encoder; the streaming json.dump does not
     with open(path, "w") as fh:
-        json.dump(out, fh)
-        fh.write("\n")
+        fh.write(json.dumps(out) + "\n")

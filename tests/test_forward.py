@@ -1,13 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
 from sguq.forward import (
+    BandComparison,
+    DensityEstimate,
     estimate_density,
     propagate,
     sample_posterior,
     uncertainty_bands,
     write_bands_csv,
+    write_densities_json,
 )
 from sguq.indices import generate_index_set
 from sguq.inversion import PosteriorSpec
@@ -162,6 +167,69 @@ def test_kde_silverman_bandwidth_value():
     assert d.bandwidth == pytest.approx(expected)
 
 
+def test_kde_grid_needs_two_points():
+    values = np.random.default_rng(13).normal(0, 1, 500)
+    with pytest.raises(ValueError, match="grid"):
+        estimate_density(values, 1)
+    d = estimate_density(values, 2)
+    assert d.grid.shape == d.density.shape == (2,)
+
+
+# ---------------------------------------------------------------------------
+# binned KDE against the direct kernel sum
+# ---------------------------------------------------------------------------
+
+
+def dense_kde(values, grid_size=512):
+    """Direct O(n G) Gaussian kernel sum at every grid point (the oracle)."""
+    std = float(np.std(values, ddof=1))
+    q75, q25 = np.percentile(values, [75.0, 25.0])
+    iqr = q75 - q25
+    h = 0.9 * (min(std, iqr / 1.34) if iqr > 0.0 else std) * len(values) ** (-0.2)
+    grid = np.linspace(values.min() - 3.0 * h, values.max() + 3.0 * h, grid_size)
+    density = np.zeros(grid_size)
+    for start in range(0, len(values), 4096):
+        z = np.subtract.outer(grid, values[start:start + 4096]) / h
+        density += np.exp(-0.5 * z * z).sum(axis=1)
+    density /= len(values) * h * np.sqrt(2.0 * np.pi)
+    q05, q95 = np.quantile(values, [0.05, 0.95])
+    return h, grid, density, q05, q95
+
+
+KDE_SAMPLES = {
+    "normal": lambda rng: rng.normal(0.0, 1.0, 2000),
+    "uniform": lambda rng: rng.random(2000),
+    "bimodal": lambda rng: np.concatenate([rng.normal(-2.0, 0.5, 1000),
+                                           rng.normal(2.0, 0.5, 1000)]),
+    # heavy tails: the output cell is about 0.4 and 0.3 bandwidths wide, so
+    # these two exercise the refined binning grid
+    "lognormal": lambda rng: rng.lognormal(0.0, 1.0, 2000),
+    "student_t3": lambda rng: rng.standard_t(3, 2000),
+    "normal_n100": lambda rng: rng.normal(5.0, 0.1, 100),
+}
+
+
+def assert_matches_dense(d, values, grid_size=512):
+    h, grid, density, q05, q95 = dense_kde(values, grid_size)
+    assert d.bandwidth == h
+    assert np.array_equal(d.grid, grid)
+    assert d.q05 == q05 and d.q95 == q95
+    assert np.max(np.abs(d.density - density)) <= 1e-3 * density.max()
+    assert abs(d.mode - grid[np.argmax(density)]) <= grid[1] - grid[0]
+    assert np.trapezoid(d.density, d.grid) == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("name", list(KDE_SAMPLES))
+def test_binned_kde_matches_direct_sum(name):
+    values = KDE_SAMPLES[name](np.random.default_rng(14))
+    assert_matches_dense(estimate_density(values), values)
+
+
+def test_binned_kde_matches_direct_sum_on_coarse_grid():
+    values = KDE_SAMPLES["bimodal"](np.random.default_rng(14))
+    assert_matches_dense(estimate_density(values, 64), values, 64)
+
+
 # ---------------------------------------------------------------------------
 # band comparison
 # ---------------------------------------------------------------------------
@@ -222,3 +290,36 @@ def test_bands_csv_layout(tmp_path, beam_strain_surrogates):
     assert len(lines) == 121
     first = lines[1].split(",")
     assert first[0] == "eps_1" and float(first[1]) == 0.5
+
+
+def test_binned_kde_matches_direct_sum_on_beam_strains(beam_strain_surrogates):
+    prior_sur, post_sur = beam_strain_surrogates
+    prior_spec = spec_of([Uniform(1130, 1450), Uniform(-5, 0)],
+                         [[1130, -5], [1450, 0]], names=("T_A", "log_h_p"))
+    post_spec = spec_of([Gaussian(1341.0, 9.0), Uniform(-5.0, -1.4)],
+                        [[1130, -5], [1450, 0]], names=("T_A", "log_h_p"))
+    for sur, spec, seed in ((prior_sur, prior_spec, 15), (post_sur, post_spec, 16)):
+        out = propagate(sur, sample_posterior(spec, 2000, seed))
+        for j in range(0, out.shape[1], 7):
+            assert_matches_dense(estimate_density(out[:, j]), out[:, j])
+
+
+def test_densities_json_bytes_match_streaming_dump(tmp_path):
+    rng = np.random.default_rng(17)
+    dens = [estimate_density(rng.normal(j, 1.0 + j, 300)) for j in range(3)]
+    dens.append(estimate_density(np.full(200, 2.5)))  # degenerate: NaN density
+    cmp_ = BandComparison(prior=dens, posterior=dens[::-1])
+    ids = [f"eps_{j}" for j in range(4)]
+    write_densities_json(tmp_path / "fast.json", cmp_, ids)
+
+    def as_dict(d: DensityEstimate):
+        return {"bandwidth": float(d.bandwidth), "grid": [float(x) for x in d.grid],
+                "density": [float(x) for x in d.density], "mode": float(d.mode),
+                "q05": float(d.q05), "q95": float(d.q95), "degenerate": d.degenerate}
+
+    out = [{"location_id": ids[j], "prior": as_dict(cmp_.prior[j]),
+            "posterior": as_dict(cmp_.posterior[j])} for j in range(4)]
+    with open(tmp_path / "streamed.json", "w") as fh:
+        json.dump(out, fh)
+        fh.write("\n")
+    assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "streamed.json").read_bytes()
