@@ -251,11 +251,12 @@ def laplace_covariance(surrogate: Surrogate, meas: Measurements, v_map: np.ndarr
                        sigma2_map: float) -> LaplaceCovariance:
     """Gaussian posterior covariance from local curvature at the MAP.
 
-    Builds sigma2 * (J^T J + sum_k M_k H_k)^(-1) with the exact Jacobian and
-    per-measurement Hessians of the surrogate polynomial, valid up to the
-    box edge.  If the misfit-weighted Hessian term destroys positive
-    definiteness the Gauss-Newton form J^T J is used instead.  A
-    rank-deficient J raises, naming the unidentified direction.
+    Builds sigma2 * (J^T J - sum_k M_k H_k)^(-1), the inverse Hessian of LS/2
+    with misfits M_k = y_k - u_k, from the exact Jacobian and per-measurement
+    Hessians of the surrogate polynomial, valid up to the box edge.  If the
+    misfit-weighted Hessian term destroys positive definiteness the
+    Gauss-Newton form J^T J is used instead.  A rank-deficient J raises,
+    naming the unidentified direction.
     """
     space = surrogate.grid.space
     ndim = space.n_dims
@@ -277,7 +278,7 @@ def laplace_covariance(surrogate: Surrogate, meas: Measurements, v_map: np.ndarr
         raise rank_deficient()
 
     weighted_hessian = np.einsum("k,knm->nm", meas.values - u, hess)
-    inner = jtj + weighted_hessian
+    inner = jtj - weighted_hessian
     inner = 0.5 * (inner + inner.T)
     fallback = False
     try:

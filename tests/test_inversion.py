@@ -293,7 +293,8 @@ def test_laplace_rank_deficiency_names_direction():
 
 
 def test_laplace_gauss_newton_fallback_triggers():
-    # a large negative misfit times a positive second derivative overwhelms
+    # the Hessian of LS/2 is J^T J - sum_k M_k H_k with M_k = y_k - u_k: a
+    # large positive misfit times a positive second derivative overwhelms
     # J^T J, so the full form loses definiteness and the fallback engages
     space = ParameterSpace.from_pairs([("a", Uniform(0, 1)), ("b", Uniform(0, 1))])
     grid = build_sparse_grid(space, generate_index_set("max", 2, 1))
@@ -302,12 +303,27 @@ def test_laplace_gauss_newton_fallback_triggers():
         return np.column_stack([p[:, 0], p[:, 1], (p[:, 1] - 0.2) ** 2])
 
     sur = Surrogate.from_model(grid, model)
-    m = Measurements(values=[0.5, 0.3, -5.0], location_ids=(0, 1, 2), noise_std=1.0)
+    m = Measurements(values=[0.5, 0.3, 5.0], location_ids=(0, 1, 2), noise_std=1.0)
     v_map = np.array([0.5, 0.3])
     cov = laplace_covariance(sur, m, v_map, 1.0)
     assert cov.gauss_newton_fallback
     jtj = np.array([[1.0, 0.0], [0.0, 1.0 + (2 * 0.1) ** 2]])
     assert np.allclose(cov.matrix, np.linalg.inv(jtj), atol=1e-6)
+
+
+def test_laplace_full_hessian_matches_finite_difference_of_misfit(
+        beam_surrogate, beam_measurements, beam_inversion):
+    # sigma2 * inverse(covariance) is the Hessian of LS/2; its log_h_p entry
+    # at the MAP against a central second difference of LS/2 itself
+    result, s2, cov, _ = beam_inversion
+    assert not cov.gauss_newton_fallback
+    hessian = s2 * np.linalg.inv(cov.matrix)
+    v = result.v_map
+    step = np.array([0.0, 1e-3])
+    half_ls = [0.5 * least_squares(beam_surrogate, beam_measurements, v + k * step)
+               for k in (-1, 0, 1)]
+    oracle = (half_ls[0] - 2.0 * half_ls[1] + half_ls[2]) / step[1] ** 2
+    assert hessian[1, 1] == pytest.approx(oracle, rel=1e-4)
 
 
 def test_laplace_at_box_edge_is_finite_spd(beam_surrogate, beam_measurements):
