@@ -143,18 +143,21 @@ def combination_coefficients(mset: MultiIndexSet) -> dict[MultiIndex, int]:
     c_i = sum over j in {0,1}^dim with i + j in the set of (-1)^(|j|_1).
     Indices with zero coefficient are retained so callers can report the
     full breakdown; the coefficients always sum to 1.
+
+    In a downward-closed set i + j is a member only if every i + e_n with
+    j_n = 1 is, so the sum grows j one dimension at a time and keeps only
+    member terms: the work is dim times the number of member terms, not 2^dim.
     """
     members = set(mset.indices)
     if not is_downward_closed(members):
         raise ValueError("combination coefficients require a downward-closed set")
     coeffs: dict[MultiIndex, int] = {}
-    shifts = list(product((0, 1), repeat=mset.dim))
     for idx in mset.indices:
-        c = 0
-        for j in shifts:
-            if tuple(a + b for a, b in zip(idx, j)) in members:
-                c += -1 if sum(j) % 2 else 1
-        coeffs[idx] = c
+        terms = [(idx, 1)]
+        for n in range(mset.dim):
+            terms += [(up, -sign) for t, sign in terms
+                      if (up := t[:n] + (t[n] + 1,) + t[n + 1:]) in members]
+        coeffs[idx] = sum(sign for _, sign in terms)
     return coeffs
 
 

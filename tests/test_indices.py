@@ -107,6 +107,34 @@ def test_coefficients_telescope_to_one(kind, dim, w):
     assert sum(coeffs.values()) == 1
 
 
+def oracle_coefficients(mset):
+    """The full 2^dim shift sum: c_i = sum of (-1)^|j| over i + j in the set."""
+    members = set(mset.indices)
+    shifts = list(product((0, 1), repeat=mset.dim))
+    return {idx: sum(-1 if sum(j) % 2 else 1 for j in shifts
+                     if tuple(a + b for a, b in zip(idx, j)) in members)
+            for idx in mset.indices}
+
+
+@pytest.mark.parametrize("kind,dim,w", [
+    ("sum", 1, 6), ("sum", 3, 5), ("sum", 5, 4), ("sum", 8, 4), ("sum", 10, 2),
+    ("max", 2, 5), ("max", 4, 2), ("max", 6, 1), ("max", 10, 0),
+])
+def test_coefficients_match_full_shift_sum(kind, dim, w):
+    ms = generate_index_set(kind, dim, w)
+    assert combination_coefficients(ms) == oracle_coefficients(ms)
+
+
+def test_coefficients_match_full_shift_sum_on_explicit_sets():
+    ragged = explicit_index_set([(1, 1, 1), (2, 1, 1), (3, 1, 1), (1, 2, 1), (2, 2, 1),
+                                 (1, 1, 2), (1, 1, 3), (1, 2, 2), (4, 1, 1)])
+    assert combination_coefficients(ragged) == oracle_coefficients(ragged)
+    # a union of a sum set and a long axis in a high dimension
+    union = explicit_index_set(set(generate_index_set("sum", 7, 2).indices)
+                               | {(k, 1, 1, 1, 1, 1, 1) for k in range(1, 7)})
+    assert combination_coefficients(union) == oracle_coefficients(union)
+
+
 def test_coefficients_reject_non_downward_closed():
     ms = MultiIndexSet(kind="explicit", w=1, dim=2, indices=((1, 1), (2, 2)))
     with pytest.raises(ValueError):
