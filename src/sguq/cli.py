@@ -377,6 +377,9 @@ def run_forward(config: dict, out: Path, validate: bool = False,
                 compare_prior: bool = False, prior_only: bool = False,
                 densities: bool = False) -> dict:
     opts = _stage_options(config, "forward")
+    kde_grid = opts["kde_grid"]
+    if not isinstance(kde_grid, int) or isinstance(kde_grid, bool) or kde_grid < 2:
+        raise ConfigError(f"forward.kde_grid must be an integer >= 2, got {kde_grid!r}")
     handle = _make_model(config)
     stage_dir = out / "forward"
     stage_dir.mkdir(parents=True, exist_ok=True)

@@ -250,6 +250,20 @@ def test_forward_requires_posterior_or_prior_only(tmp_path):
                  "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("kde_grid", [0, 1, 2.5, "512", True])
+def test_invalid_kde_grid_exits_2_before_any_solver_run(tmp_path, capsys, kde_grid):
+    # the solver always fails, so a solver run first would exit 3
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]}, forward={"kde_grid": kde_grid})
+    cfg["model"] = {"command": [sys.executable, "-c", "import sys; sys.exit(1)"],
+                    "workdir": str(tmp_path / "w"),
+                    "inputs": ["T_A", "log_h_g", "log_h_p"],
+                    "outputs": ["eps_1"]}
+    assert main(["forward", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o"), "--prior-only"]) == 2
+    assert "kde_grid" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 def test_forward_prior_only_runs_standalone(tmp_path):
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
     out = tmp_path / "o"
