@@ -12,9 +12,9 @@
 # # Bayesian inversion on a surrogate
 #
 # Synthetic noisy displacement data pin down the model parameters.  The
-# posterior mode comes from a multi-start simplex search of the misfit least
-# squares; the local covariance comes from the surrogate's exact
-# derivatives; and a profile
+# posterior mode comes from a multi-start bounded trust-region least-squares
+# search on the surrogate's exact Jacobian; the local covariance comes from
+# the surrogate's exact derivatives; and a profile
 # inspection decides, per parameter, whether a Gaussian is an honest
 # description or a reduced uniform interval is the best we can say.
 
@@ -60,7 +60,8 @@ print("data:", np.round(data.values, 4))
 # %% [markdown]
 # ## Posterior mode
 #
-# Sixteen Latin-hypercube starts; converged points are clustered.  The
+# Sixteen Latin-hypercube starts, each a bounded trust-region least-squares
+# run that never leaves the prior box; converged points are clustered.  The
 # weakly constrained powder coefficient produces several near-degenerate
 # minima that differ almost only in that coordinate.
 
@@ -68,7 +69,8 @@ print("data:", np.round(data.values, 4))
 result = find_map(surrogate, data, n_starts=16, seed=3)
 for cl in result.minima:
     print(f"minimum at ({cl.v[0]:8.2f}, {cl.v[1]:6.2f})  LS = {cl.ls:.3e}  hits = {cl.n_hits}")
-print("MAP:", np.round(result.v_map, 3), " LS_min:", f"{result.ls_min:.3e}")
+print("MAP:", np.round(result.v_map, 3), " LS_min:", f"{result.ls_min:.3e}",
+      f" starts not converged: {result.n_not_converged}/{result.n_starts}")
 
 # %% [markdown]
 # ## Noise estimate and local covariance

@@ -352,6 +352,8 @@ def run_invert(config: dict, out: Path, validate: bool = False) -> dict:
     _log(f"invert: multi-start MAP search, {opts['n_starts']} starts")
     map_result = find_map(meas_surrogate, local_meas, n_starts=opts["n_starts"],
                           seed=opts["start_seed"])
+    _log(f"invert: {map_result.n_not_converged} of {map_result.n_starts} starts "
+         "did not converge")
     s2 = sigma_map(map_result.ls_min, local_meas.n)
     cov = laplace_covariance(meas_surrogate, local_meas, map_result.v_map, s2)
     profiles = [profile_likelihood(meas_surrogate, local_meas, n, map_result.v_map,

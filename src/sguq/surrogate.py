@@ -399,21 +399,29 @@ class Surrogate:
             out[start:start + EVAL_BLOCK_ROWS] = rows @ self.modal_coefficients
         return out[0] if single else out
 
-    def derivatives(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact value (P,), Jacobian (P, N) and Hessian (P, N, N) at one point."""
+    def derivatives(self, v: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+        """Exact value (P,), Jacobian (P, N) and, for order 2, Hessian (P, N, N) at one point.
+
+        ``order=1`` stops after the Jacobian and returns (value, Jacobian).
+        """
+        if order not in (1, 2):
+            raise ValueError(f"order must be 1 or 2, got {order}")
         v = np.asarray(v, dtype=float)
         ndim = self.grid.space.n_dims
-        factors = np.array([f[:, 0] for f in self._factors(v[None, :], derivatives=2)])
+        factors = np.array([f[:, 0] for f in self._factors(v[None, :], derivatives=order)])
 
-        def term(order):
-            # order[n] = derivative order in dim n
-            return np.prod(factors[np.arange(ndim), order], axis=0) @ self.modal_coefficients
+        def term(orders):
+            # orders[n] = derivative order in dim n
+            return np.prod(factors[np.arange(ndim), orders], axis=0) @ self.modal_coefficients
 
         eye = np.eye(ndim, dtype=int)
+        value = term(np.zeros(ndim, dtype=int))
         jac = np.array([term(eye[n]) for n in range(ndim)]).T
+        if order == 1:
+            return value, jac
         hess = np.array([[term(eye[n] + eye[m]) for m in range(ndim)]
                          for n in range(ndim)]).transpose(2, 0, 1)
-        return term(np.zeros(ndim, dtype=int)), jac, hess
+        return value, jac, hess
 
     def _warn_outside(self, V: np.ndarray):
         for n, d in enumerate(self.grid.space.dims):

@@ -207,7 +207,7 @@ def test_invert_validate_table_decreases(tmp_path):
     assert read_manifest(out)["stages"]["invert"]["model_evaluations"] == 75
 
 
-def test_invert_noiseless_recovers_target(tmp_path):
+def test_invert_noiseless_recovers_target(tmp_path, capsys):
     t_knot = float(symmetric_leja(5, 1130.0, 1450.0)[2])
     x_knot = float(symmetric_leja(7, -5.0, 0.0)[4])
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"], "noise_std": 1e-12,
@@ -219,6 +219,13 @@ def test_invert_noiseless_recovers_target(tmp_path):
     v_map = np.array(report["v_map"])
     z_err = np.abs(v_map - [t_knot, x_knot]) / np.array([320.0, 5.0])
     assert z_err.max() < 1e-4
+    # per-start convergence record, and its count on stderr
+    starts = report["starts"]
+    assert len(starts) == report["n_starts"] == 16
+    assert all(set(s) == {"status", "nfev", "njev"} for s in starts)
+    n_bad = sum(1 for s in starts if s["status"] <= 0)
+    assert report["n_not_converged"] == n_bad
+    assert f"{n_bad} of 16 starts did not converge" in capsys.readouterr().err
 
 
 def test_invert_consumes_data_file(tmp_path):

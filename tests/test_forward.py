@@ -230,6 +230,15 @@ def test_binned_kde_matches_direct_sum_on_coarse_grid():
     assert_matches_dense(estimate_density(values, 64), values, 64)
 
 
+def test_kde_integral_bound_holds_up_to_one_bandwidth_per_cell():
+    # the heaviest lognormal tail whose grid cell still spans at most one
+    # bandwidth (0.995 h); the docstring's 1e-3 integral bound holds there
+    values = np.random.default_rng(0).lognormal(0.0, 1.1, 20000)
+    d = estimate_density(values)
+    assert 0.9 < (d.grid[1] - d.grid[0]) / d.bandwidth <= 1.0
+    assert np.trapezoid(d.density, d.grid) == pytest.approx(1.0, abs=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # band comparison
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from sguq.indices import generate_index_set
 from sguq.inversion import (
+    CLUSTER_TOL,
     InversionError,
     LaplaceCovariance,
+    MapResult,
     Measurements,
     PosteriorSpec,
     build_posterior,
@@ -17,6 +20,7 @@ from sguq.inversion import (
     profile_likelihood,
     sigma_map,
     synthesize_data,
+    _latin_hypercube,
 )
 from sguq.knots import symmetric_leja
 from sguq.models import beam_proxy
@@ -32,12 +36,16 @@ def beam_displacements(p):
     return beam_proxy(p)[:, :9]
 
 
-@pytest.fixture(scope="module")
-def beam_surrogate():
+def make_beam_surrogate():
     space = ParameterSpace.from_pairs(BEAM_BOUNDS)
     grid = build_sparse_grid(space, generate_index_set("sum", 2, 3))
     return Surrogate.from_model(grid, beam_displacements,
                                 output_names=tuple(f"u_{k}" for k in range(1, 10)))
+
+
+@pytest.fixture(scope="module")
+def beam_surrogate():
+    return make_beam_surrogate()
 
 
 @pytest.fixture(scope="module")
@@ -168,19 +176,12 @@ def test_find_map_quadratic_recovers_analytic_minimum():
     m = Measurements(values=[0.62, 0.31], location_ids=(0, 1), noise_std=1.0)
     res = find_map(sur, m, n_starts=8, seed=0)
     assert np.max(np.abs(res.v_map - [0.62, 0.31])) < 1e-6
-    assert len(res.in_bounds_minima) == 1
+    assert len(res.minima) == 1
 
 
 def test_find_map_rejects_too_few_starts(beam_surrogate, beam_measurements):
     with pytest.raises(ValueError):
         find_map(beam_surrogate, beam_measurements, n_starts=2, seed=0)
-
-
-def test_find_map_ls_and_loglik_agree(beam_surrogate, beam_measurements):
-    a = find_map(beam_surrogate, beam_measurements, n_starts=8, seed=1)
-    b = find_map(beam_surrogate, beam_measurements, n_starts=8, seed=1,
-                 use_log_likelihood=True)
-    assert np.max(np.abs(a.v_map - b.v_map)) < 1e-6 * 320
 
 
 def test_find_map_noiseless_recovery_at_grid_point(beam_surrogate):
@@ -203,6 +204,109 @@ def test_find_map_beam_clusters_differ_in_weak_dimension(beam_surrogate, beam_me
     spread_t = (pts[:, 0].max() - pts[:, 0].min()) / 320.0
     spread_x = (pts[:, 1].max() - pts[:, 1].min()) / 5.0
     assert spread_x > 5 * spread_t
+
+
+def test_find_map_records_each_start_convergence(beam_inversion):
+    result = beam_inversion[0]
+    assert result.n_starts == 16 and len(result.starts) == 16
+    assert sum(cl.n_hits for cl in result.minima) == 16
+    converged = sum(1 for s in result.starts if s["status"] > 0)
+    assert converged + result.n_not_converged == 16
+    # every start evaluates its residual and Jacobian at least at the start point
+    assert all(s["nfev"] >= 1 and s["njev"] >= 1 for s in result.starts)
+
+
+def test_map_result_counts_status_at_most_zero_as_not_converged():
+    starts = [{"status": st, "nfev": 5, "njev": 4} for st in (-1, 0, 1, 2, 3, 4)]
+    res = MapResult(v_map=np.zeros(2), ls_min=0.0, minima=[], n_starts=6, seed=0,
+                    starts=starts)
+    assert res.n_not_converged == 2
+
+
+def nelder_mead_map(surrogate, meas, n_starts, seed):
+    """The former multi-start Nelder-Mead MAP search, kept as the oracle.
+
+    Box-normalized coordinates; a point leaving the box is reflected back
+    inside for the misfit and charged a quadratic penalty on the violation,
+    scaled by the box-centre misfit.  Returns the lowest (v, ls) over the same
+    Latin-hypercube starts as find_map.
+    """
+    box = surrogate.grid.space.uniform_box()
+    lo, width = box[0], box[1] - box[0]
+
+    def fold(z):
+        return 1.0 - np.abs(1.0 - np.mod(z, 2.0))
+
+    def ls_at(z):
+        return least_squares(surrogate, meas, lo + fold(z) * width, warn_outside=False)
+
+    scale = 1e3 * (1.0 + ls_at(np.full(len(lo), 0.5)))
+
+    def objective(z):
+        viol = np.clip(-z, 0.0, None) + np.clip(z - 1.0, 0.0, None)
+        return ls_at(z) + scale * np.sum(viol * viol)
+
+    best = None
+    for z0 in _latin_hypercube(n_starts, len(lo), seed):
+        res = minimize(objective, z0, method="Nelder-Mead",
+                       options={"xatol": 1e-6, "fatol": np.inf, "maxiter": 500,
+                                "maxfev": 2000})
+        v = lo + fold(res.x) * width
+        ls = least_squares(surrogate, meas, v, warn_outside=False)
+        if best is None or ls < best[1]:
+            best = (v, ls)
+    return best
+
+
+def analytic_4d_case():
+    # four identifiable parameters with unequal box widths; eight stations
+    # whose sensitivities have different profiles
+    bounds = [("a", Uniform(1.0, 3.0)), ("b", Uniform(-1.0, 1.0)),
+              ("c", Uniform(10.0, 20.0)), ("d", Uniform(0.0, 0.5))]
+    t = np.arange(1, 9) / 8.0
+
+    def model(p):
+        a, b, c, d = ((p - [1.0, -1.0, 10.0, 0.0]) / [2.0, 2.0, 10.0, 0.5]).T[:, :, None]
+        return (1.0 + 0.6 * (1.0 - t) * np.exp(0.8 * a) + 0.8 * t * (b + 0.4 * b * b)
+                + 0.5 * np.sin(2.0 * np.pi * t) * np.log1p(1.5 * c)
+                + 0.5 * np.cos(2.0 * np.pi * t) * np.sin(1.2 * d) + 0.2 * t * a * b)
+
+    space = ParameterSpace.from_pairs(bounds)
+    grid = build_sparse_grid(space, generate_index_set("sum", 4, 3))
+    sur = Surrogate.from_model(grid, model)
+    meas = synthesize_data(model, np.array([2.2, 0.1, 13.5, 0.2]), range(8), 0.005, 3)
+    return sur, meas, 8, 3
+
+
+def linear_gaussian_case():
+    amat = np.array([[1.0, 0.4], [0.2, 1.3], [0.7, -0.5]])
+    space = ParameterSpace.from_pairs([("a", Uniform(-1, 1)), ("b", Uniform(-1, 1))])
+    grid = build_sparse_grid(space, generate_index_set("sum", 2, 2))
+    sur = Surrogate.from_model(grid, lambda p: p @ amat.T)
+    m = Measurements(values=[0.05, -0.02, 0.04], location_ids=(0, 1, 2), noise_std=0.1)
+    return sur, m, 6, 0
+
+
+def beam_case(seed):
+    def case():
+        meas = synthesize_data(beam_displacements, VBAR, range(9), SIGMA, seed)
+        return make_beam_surrogate(), meas, 16, seed
+    return case
+
+
+# the canonical beam seed, and seed 7, where scipy's default 1e-8 tolerances
+# stop 1.1e-9 relative above the oracle's misfit in the flat weak direction
+@pytest.mark.parametrize("case", [beam_case(SEED), beam_case(7), linear_gaussian_case,
+                                  analytic_4d_case],
+                         ids=["beam", "beam_seed7", "linear_gaussian", "analytic_4d"])
+def test_find_map_agrees_with_nelder_mead_oracle(case):
+    sur, meas, n_starts, seed = case()
+    v_oracle, ls_oracle = nelder_mead_map(sur, meas, n_starts, seed)
+    res = find_map(sur, meas, n_starts=n_starts, seed=seed)
+    box = sur.grid.space.uniform_box()
+    assert np.linalg.norm((res.v_map - v_oracle) / (box[1] - box[0])) < CLUSTER_TOL
+    assert res.ls_min <= ls_oracle * (1.0 + 1e-10)
+    assert res.n_not_converged == 0
 
 
 def test_sigma_map_arithmetic():

@@ -285,6 +285,26 @@ def test_derivatives_of_a_polynomial_are_exact():
                                               [3 * t ** 2, 12 * x ** 2]]), rel=1e-11)
 
 
+def test_first_order_derivatives_match_second_order_ones():
+    # order=1 stops before the Hessians; value and Jacobian must not change
+    space = ParameterSpace.from_pairs([("a", Uniform(1.0, 3.0)), ("b", Gaussian(0.0, 2.0)),
+                                       ("c", Uniform(10.0, 20.0)), ("d", Uniform(0.0, 0.5))])
+    grid = build_sparse_grid(space, generate_index_set("sum", 4, 3))
+    sur = Surrogate.from_model(
+        grid, lambda p: np.column_stack([np.exp(0.3 * p[:, 0]) * np.sin(p[:, 1]),
+                                         p[:, 2] * p[:, 3] ** 2 + p[:, 1]]))
+    rng = np.random.default_rng(31)
+    points = np.column_stack([rng.uniform(1.0, 3.0, 5), rng.normal(0.0, 2.0, 5),
+                              rng.uniform(10.0, 20.0, 5), rng.uniform(0.0, 0.5, 5)])
+    for v in points:
+        value1, jac1 = sur.derivatives(v, order=1)
+        value2, jac2, _ = sur.derivatives(v)
+        assert np.max(np.abs(value1 - value2)) <= 1e-15 * np.abs(value2).max()
+        assert np.max(np.abs(jac1 - jac2)) <= 1e-15 * np.abs(jac2).max()
+    with pytest.raises(ValueError, match="order"):
+        sur.derivatives(v, order=0)
+
+
 # ---------------------------------------------------------------------------
 # hierarchical detail decomposition
 # ---------------------------------------------------------------------------
