@@ -38,7 +38,7 @@ from .inversion import (
     write_inversion_report,
 )
 from .models import ExternalModel, ExternalModelError, register_builtin
-from .sobol import rank_parameters, sobol_indices, write_sobol_json
+from .sobol import rank_parameters, sobol_indices, sobol_result_to_json_dict
 from .surrogate import (
     ParameterSpace, Surrogate, Uniform, _space_from_json, build_sparse_grid,
     surrogate_from_json_dict, surrogate_to_json_dict, validation_errors,
@@ -49,6 +49,7 @@ EXIT_MODEL = 3
 EXIT_NUMERICAL = 4
 
 STAGE_DEFAULTS = {
+    # the Sobol indices are exact: gsa n_samples and seed are only echoed in sobol.json
     "gsa": {"kind": "max", "w": 1, "n_samples": 16384, "seed": 0, "threshold": 0.05},
     "inversion": {"kind": "sum", "w": 3, "n_starts": 16, "seed": 0, "start_seed": 1,
                   "chi2_threshold": 3.84, "flat_fraction": 0.5, "profile_grid": 101,
@@ -175,21 +176,26 @@ class StageModel:
         return np.array([self._cache[k] for k in keys])
 
 
-def _output_ids(handle, names_or_ids, group: str):
-    """Resolve configured outputs, defaulting to a labeled group if present."""
+def _output_ids(handle, names_or_ids, group: str, key: str):
+    """Resolve the outputs configured under ``key``, defaulting to a labeled group if present."""
     if names_or_ids is None:
         ids = getattr(handle, "output_groups", {}).get(group)
         return list(ids) if ids else list(range(handle.n_outputs))
+    if not isinstance(names_or_ids, list):
+        raise ConfigError(f"{key} must be a list of output names or ids")
     ids = []
     for o in names_or_ids:
         if isinstance(o, str):
             if o not in handle.output_names:
-                raise ConfigError(f"unknown model output {o!r}")
+                raise ConfigError(f"{key}: unknown model output {o!r}")
             ids.append(handle.output_names.index(o))
+        elif isinstance(o, int) and not isinstance(o, bool) and 0 <= o < handle.n_outputs:
+            ids.append(o)
         else:
-            ids.append(int(o))
+            raise ConfigError(f"{key}: output id {o!r} is not an integer in "
+                              f"[0, {handle.n_outputs})")
     if not ids:
-        raise ConfigError("output selection is empty")
+        raise ConfigError(f"{key}: output selection is empty")
     return ids
 
 
@@ -245,6 +251,15 @@ def run_gsa(config: dict, out: Path) -> dict:
     space = _space_from_json(config["space"])
     handle = _make_model(config)
     model = StageModel(handle, space)
+    participating = _output_ids(handle, opts.get("outputs"), "displacement", "gsa.outputs")
+    excluded = set(_output_ids(handle, opts.get("exclude_outputs"), "none",
+                               "gsa.exclude_outputs")
+                   if opts.get("exclude_outputs") else [])
+    participating = [i for i in participating if i not in excluded]
+    if not participating:
+        raise ConfigError("all GSA outputs were excluded")
+    if {"n_samples", "seed"} & set(config.get("gsa", {})):
+        _log("gsa: n_samples and seed are unused; the Sobol indices are exact")
     stage_dir = out / "gsa"
     stage_dir.mkdir(parents=True, exist_ok=True)
 
@@ -253,16 +268,11 @@ def run_gsa(config: dict, out: Path) -> dict:
                                        handle.output_names)
     _log(f"gsa: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
 
-    participating = _output_ids(handle, opts.get("outputs"), "displacement")
-    excluded = set(_output_ids(handle, opts.get("exclude_outputs"), "none")
-                   if opts.get("exclude_outputs") else [])
-    participating = [i for i in participating if i not in excluded]
-    if not participating:
-        raise ConfigError("all GSA outputs were excluded")
-
-    result = sobol_indices(surrogate, n_samples=opts["n_samples"], seed=opts["seed"])
+    result = sobol_indices(surrogate)
     ranking = rank_parameters(result, opts["threshold"], outputs=participating)
-    write_sobol_json(stage_dir / "sobol.json", result, opts["threshold"], ranking)
+    data = sobol_result_to_json_dict(result, opts["threshold"], ranking)
+    data.update(sample_size=opts["n_samples"], seed=opts["seed"])
+    _write_json(stage_dir / "sobol.json", data)
     keep_names = [space.names[i] for i in ranking["keep"]]
     drop_names = [space.names[i] for i in ranking["drop"]]
     _log(f"gsa: keep {keep_names}, drop {drop_names}")
@@ -298,6 +308,8 @@ def run_invert(config: dict, out: Path, validate: bool = False) -> dict:
     if not space.is_all_uniform():
         raise ConfigError("inversion requires uniform (prior-stage) dimensions")
     model = StageModel(handle, space, fixed=fixed)
+    meas_ids = _output_ids(handle, opts.get("measurement_outputs"), "displacement",
+                           "inversion.measurement_outputs")
     stage_dir = out / "invert"
     stage_dir.mkdir(parents=True, exist_ok=True)
 
@@ -308,7 +320,6 @@ def run_invert(config: dict, out: Path, validate: bool = False) -> dict:
     _write_json(stage_dir / "surrogate.json", surrogate_to_json_dict(surrogate))
     _log(f"invert: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
 
-    meas_ids = _output_ids(handle, opts.get("measurement_outputs"), "displacement")
     data_evaluations = 0
     if opts.get("data_file"):
         with open(opts["data_file"]) as fh:
@@ -400,7 +411,7 @@ def run_forward(config: dict, out: Path, validate: bool = False,
 
     post_space = ParameterSpace.from_pairs(zip(posterior.names, posterior.marginals))
     model = StageModel(handle, post_space, fixed=fixed)
-    qoi_ids = _output_ids(handle, opts.get("qoi_outputs"), "strain")
+    qoi_ids = _output_ids(handle, opts.get("qoi_outputs"), "strain", "forward.qoi_outputs")
     qoi_names = tuple(handle.output_names[i] for i in qoi_ids)
 
     _log(f"forward: building {opts['kind']} grid, w={opts['w']} on the "

@@ -1,19 +1,23 @@
 """Variance-based global sensitivity analysis on a sparse-grid surrogate.
 
-Principal and total Sobol indices are estimated with the Jansen pick-freeze
-estimators on two independent uniform sample matrices A and B plus the N
-column-swapped hybrids: with V the sample variance over A and B,
+The surrogate stores its interpolant as coefficients c_i in a product basis
+that is orthonormal under the prior (Legendre for a uniform dimension,
+Hermite for a Gaussian one), row i for the degree multi-index
+alpha_i = ``grid.degrees[i]``.  Each basis function other than the constant
+has zero mean and unit variance and the functions are mutually
+uncorrelated, so grouping the rows by the dimensions they involve is the
+ANOVA decomposition of the surrogate (Sudret, RESS 2008):
 
-    principal_n = (V - mean((f(B) - f(AB_n))^2) / 2) / V
-    total_n     = (mean((f(A) - f(AB_n))^2) / 2) / V
+    V           = sum of c_i^2 over alpha_i != 0
+    principal_n = (sum of c_i^2 over alpha_i nonzero in dimension n only) / V
+    total_n     = (sum of c_i^2 over alpha_i[n] > 0) / V
 
-where AB_n is A with column n taken from B.  All model evaluations go
-through the surrogate, so large sample sizes are cheap.
+The indices are exact for the surrogate: no samples are drawn and the
+surrogate is never evaluated.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,90 +26,45 @@ from .surrogate import Surrogate
 
 __all__ = ["SobolResult", "sobol_indices", "rank_parameters", "sobol_result_to_json_dict"]
 
-MIN_SAMPLES = 1024
-#: outputs whose sample variance falls below this are flagged degenerate
+#: outputs whose variance falls below this are flagged degenerate
 DEGENERATE_VARIANCE = 1e-28
 
 
 @dataclass
 class SobolResult:
-    """Per-output Sobol indices with estimation metadata.
+    """Per-output Sobol indices of a surrogate.
 
-    ``principal`` and ``total`` are (P, N) arrays clipped to [0, 1]; the raw
-    unclipped estimates are kept for diagnostics.  ``degenerate`` flags
+    ``principal`` and ``total`` are (P, N) arrays.  ``degenerate`` flags
     outputs with (numerically) zero variance, whose indices are reported 0.
     """
 
     principal: np.ndarray
     total: np.ndarray
-    raw_principal: np.ndarray
-    raw_total: np.ndarray
     variance: np.ndarray
-    n_samples: int
-    seed: int
     degenerate: np.ndarray
     output_names: tuple[str, ...]
     dim_names: tuple[str, ...]
 
 
-def sobol_indices(surrogate: Surrogate, n_samples: int = 16384, seed: int = 0,
-                  sampler: str = "pseudo") -> SobolResult:
-    """Jansen estimates of principal and total indices for every output.
-
-    Requires a surrogate over all-uniform dimensions (the screening stage of
-    the workflow operates under the prior).  ``sampler`` is "pseudo" for a
-    seeded generator or "sobol" for a scrambled low-discrepancy sequence.
-    """
-    space = surrogate.grid.space
-    if not space.is_all_uniform():
-        raise ValueError("sobol_indices requires all dimensions uniform")
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
-    box = space.uniform_box()
-    ndim = space.n_dims
-
-    if sampler == "pseudo":
-        rng = np.random.default_rng(seed)
-        unit = rng.random((n_samples, 2 * ndim))
-    elif sampler == "sobol":
-        # A and B come from one 2N-dimensional design so they are jointly
-        # low-discrepancy yet mutually unstructured
-        from scipy.stats import qmc
-        unit = qmc.Sobol(d=2 * ndim, scramble=True, seed=seed).random(n_samples)
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}; expected 'pseudo' or 'sobol'")
-    a = box[0] + (box[1] - box[0]) * unit[:, :ndim]
-    b = box[0] + (box[1] - box[0]) * unit[:, ndim:]
-
-    f_a = surrogate.evaluate(a)          # (M, P)
-    f_b = surrogate.evaluate(b)
-    variance = np.var(np.vstack([f_a, f_b]), axis=0, ddof=1)
+def sobol_indices(surrogate: Surrogate) -> SobolResult:
+    """Principal and total indices of every output, read off the modal coefficients."""
+    active = surrogate.grid.degrees > 0                           # (M, N)
+    power = surrogate.modal_coefficients ** 2                     # (M, P)
+    alone = active & (active.sum(axis=1, keepdims=True) == 1)
+    variance = active.any(axis=1) @ power
     degenerate = variance < DEGENERATE_VARIANCE
     safe_var = np.where(degenerate, 1.0, variance)
-
-    n_out = surrogate.n_outputs
-    raw_principal = np.empty((n_out, ndim))
-    raw_total = np.empty((n_out, ndim))
-    for n in range(ndim):
-        ab = a.copy()
-        ab[:, n] = b[:, n]
-        f_ab = surrogate.evaluate(ab)
-        raw_principal[:, n] = (variance - 0.5 * np.mean((f_b - f_ab) ** 2, axis=0)) / safe_var
-        raw_total[:, n] = 0.5 * np.mean((f_a - f_ab) ** 2, axis=0) / safe_var
-    raw_principal[degenerate, :] = 0.0
-    raw_total[degenerate, :] = 0.0
-
+    principal = (alone.T @ power / safe_var).T
+    total = (active.T @ power / safe_var).T
+    principal[degenerate, :] = 0.0
+    total[degenerate, :] = 0.0
     return SobolResult(
-        principal=np.clip(raw_principal, 0.0, 1.0),
-        total=np.clip(raw_total, 0.0, 1.0),
-        raw_principal=raw_principal,
-        raw_total=raw_total,
+        principal=principal,
+        total=total,
         variance=variance,
-        n_samples=n_samples,
-        seed=seed,
         degenerate=degenerate,
         output_names=surrogate.output_names,
-        dim_names=space.names,
+        dim_names=surrogate.grid.space.names,
     )
 
 
@@ -138,8 +97,7 @@ def sobol_result_to_json_dict(result: SobolResult, threshold: float | None = Non
                               ranking: dict | None = None) -> dict:
     out = {
         "dim_names": list(result.dim_names),
-        "sample_size": result.n_samples,
-        "seed": result.seed,
+        "method": "modal",
         "outputs": {
             name: {
                 "principal": [float(x) for x in result.principal[k]],
@@ -156,9 +114,3 @@ def sobol_result_to_json_dict(result: SobolResult, threshold: float | None = Non
         out["keep"] = ranking["keep"]
         out["drop"] = ranking["drop"]
     return out
-
-
-def write_sobol_json(path, result: SobolResult, threshold=None, ranking=None):
-    with open(path, "w") as fh:
-        json.dump(sobol_result_to_json_dict(result, threshold, ranking), fh, indent=2)
-        fh.write("\n")

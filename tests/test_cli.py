@@ -154,7 +154,7 @@ def test_gsa_output_exclusion_changes_ranking(tmp_path):
     assert "log_h_p" not in drop2
 
 
-def test_gsa_ishigami_matches_analytic(tmp_path):
+def test_gsa_ishigami_matches_analytic(tmp_path, capsys):
     cfg = {
         "space": [{"name": n, "distribution": "uniform", "range": [-np.pi, np.pi]}
                   for n in ("v1", "v2", "v3")],
@@ -169,9 +169,51 @@ def test_gsa_ishigami_matches_analytic(tmp_path):
     d2 = a ** 2 / 8
     d = d2 + b * np.pi ** 4 / 5 + b ** 2 * np.pi ** 8 / 18 + 0.5
     got = sobol["outputs"]["f"]
-    assert np.allclose(got["principal"], [d1 / d, d2 / d, 0.0], atol=0.03)
-    assert np.allclose(got["total"], [(d - d2) / d, d2 / d, (d - d1 - d2) / d], atol=0.03)
+    assert np.allclose(got["principal"], [d1 / d, d2 / d, 0.0], rtol=0, atol=1e-6)
+    assert np.allclose(got["total"], [(d - d2) / d, d2 / d, (d - d1 - d2) / d],
+                       rtol=0, atol=1e-6)
     assert sobol["drop"] == []
+    # the sampling keys are accepted, echoed and reported unused
+    assert sobol["method"] == "modal"
+    assert (sobol["sample_size"], sobol["seed"]) == (16384, 0)
+    assert capsys.readouterr().err.count("n_samples and seed are unused") == 1
+
+
+def test_gsa_with_gaussian_dimension_runs(tmp_path):
+    cfg = {
+        "space": [{"name": "v1", "distribution": "gaussian", "mean": 0.0, "std": 1.0}]
+                 + [{"name": n, "distribution": "uniform", "range": [-np.pi, np.pi]}
+                    for n in ("v2", "v3")],
+        "model": {"builtin": "ishigami"},
+        "gsa": {"kind": "sum", "w": 4, "threshold": 0.05},
+    }
+    out = tmp_path / "o"
+    assert main(["gsa", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    sobol = json.loads((out / "gsa" / "sobol.json").read_text())
+    assert sobol["method"] == "modal"
+    assert sobol["keep"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("command, stage, key", [
+    ("gsa", "gsa", "outputs"),
+    ("gsa", "gsa", "exclude_outputs"),
+    ("invert", "inversion", "measurement_outputs"),
+    ("forward", "forward", "qoi_outputs"),
+])
+@pytest.mark.parametrize("bad", [500, -1, 1.5, True])
+def test_bad_output_id_exits_2_before_any_solver_run(tmp_path, capsys, command, stage,
+                                                     key, bad):
+    # the solver always fails, so a solver run first would exit 3
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
+    cfg[stage][key] = [bad]
+    cfg["model"] = {"command": [sys.executable, "-c", "import sys; sys.exit(1)"],
+                    "workdir": str(tmp_path / "w"),
+                    "inputs": ["T_A", "log_h_g", "log_h_p"],
+                    "outputs": ["u_1", "u_2"]}
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+    assert main(argv + (["--prior-only"] if command == "forward" else [])) == 2
+    assert f"{stage}.{key}: output id {bad!r}" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from sguq.indices import generate_index_set
-from sguq.models import ishigami, ISHIGAMI_A, ISHIGAMI_B
+from sguq.models import ishigami, ISHIGAMI_A, ISHIGAMI_B, register_builtin
 from sguq.sobol import rank_parameters, sobol_indices, sobol_result_to_json_dict
 from sguq.surrogate import Gaussian, ParameterSpace, Surrogate, Uniform, build_sparse_grid
 
@@ -35,93 +36,110 @@ def ishigami_analytic():
     return principal, total
 
 
+def jansen_oracle(surrogate, n_samples, seed):
+    """Jansen pick-freeze estimates of (principal, total), unclipped, on uniform dims.
+
+    Two independent uniform sample matrices A and B plus the N column-swapped
+    hybrids AB_n (A with column n taken from B); with V the sample variance
+    over A and B:
+
+        principal_n = (V - mean((f(B) - f(AB_n))^2) / 2) / V
+        total_n     = (mean((f(A) - f(AB_n))^2) / 2) / V
+    """
+    space = surrogate.grid.space
+    assert space.is_all_uniform()
+    box = space.uniform_box()
+    ndim = space.n_dims
+    unit = np.random.default_rng(seed).random((n_samples, 2 * ndim))
+    a = box[0] + (box[1] - box[0]) * unit[:, :ndim]
+    b = box[0] + (box[1] - box[0]) * unit[:, ndim:]
+    f_a, f_b = surrogate.evaluate(a), surrogate.evaluate(b)
+    variance = np.var(np.vstack([f_a, f_b]), axis=0, ddof=1)
+    principal = np.empty((surrogate.n_outputs, ndim))
+    total = np.empty((surrogate.n_outputs, ndim))
+    for n in range(ndim):
+        ab = a.copy()
+        ab[:, n] = b[:, n]
+        f_ab = surrogate.evaluate(ab)
+        principal[:, n] = (variance - 0.5 * np.mean((f_b - f_ab) ** 2, axis=0)) / variance
+        total[:, n] = 0.5 * np.mean((f_a - f_ab) ** 2, axis=0) / variance
+    return principal, total
+
+
 @pytest.fixture(scope="module")
 def ishigami_surrogate():
-    # w=8 reproduces the integrand to ~1e-5 absolute, far below the MC noise
+    # w=8 reproduces the integrand to ~1e-5 absolute
     return make_surrogate(ishigami, [(-np.pi, np.pi)] * 3, 8)
 
 
 def test_single_variable_function():
     sur = make_surrogate(lambda p: p[:, :1], [(0, 1)] * 3, 2)
-    res = sobol_indices(sur, n_samples=4096, seed=0)
-    assert np.allclose(res.principal[0], [1.0, 0.0, 0.0], atol=0.02)
-    assert np.allclose(res.total[0], [1.0, 0.0, 0.0], atol=0.02)
+    res = sobol_indices(sur)
+    assert np.allclose(res.principal[0], [1.0, 0.0, 0.0], rtol=0, atol=1e-12)
+    assert np.allclose(res.total[0], [1.0, 0.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_additive_symmetric_function():
     sur = make_surrogate(lambda p: p.sum(axis=1, keepdims=True), [(0, 1)] * 3, 2)
-    res = sobol_indices(sur, n_samples=16384, seed=0)
-    assert np.allclose(res.principal[0], [1 / 3] * 3, atol=0.02)
-    assert np.allclose(res.total[0], res.principal[0], atol=0.02)
+    res = sobol_indices(sur)
+    assert np.allclose(res.principal[0], [1 / 3] * 3, rtol=0, atol=1e-12)
+    assert np.allclose(res.total[0], res.principal[0], rtol=0, atol=1e-12)
+    assert res.variance[0] == pytest.approx(3 / 12, rel=1e-12)
 
 
 def test_ishigami_indices_match_analytic(ishigami_surrogate):
     principal, total = ishigami_analytic()
-    res = sobol_indices(ishigami_surrogate, n_samples=16384, seed=2)
-    assert np.allclose(res.principal[0], principal, atol=0.03)
-    assert np.allclose(res.total[0], total, atol=0.03)
+    res = sobol_indices(ishigami_surrogate)
+    assert np.allclose(res.principal[0], principal, rtol=0, atol=1e-6)
+    assert np.allclose(res.total[0], total, rtol=0, atol=1e-6)
 
 
-def test_seed_reproducibility(ishigami_surrogate):
-    r1 = sobol_indices(ishigami_surrogate, n_samples=2048, seed=7)
-    r2 = sobol_indices(ishigami_surrogate, n_samples=2048, seed=7)
-    assert np.array_equal(r1.principal, r2.principal)
-    assert np.array_equal(r1.total, r2.total)
-    r3 = sobol_indices(ishigami_surrogate, n_samples=2048, seed=8)
-    assert not np.array_equal(r1.principal, r3.principal)
+def test_gaussian_dimensions_use_hermite_rows():
+    # f = x1 + x1 x2 on N(0, 1)^2: Var f = E[x1^2] + E[x1^2 x2^2] = 2, of which
+    # x1 alone explains Var E[f | x1] = 1 and x2 alone nothing
+    space = ParameterSpace.from_pairs([("x1", Gaussian(0, 1)), ("x2", Gaussian(0, 1))])
+    grid = build_sparse_grid(space, generate_index_set("sum", 2, 2))
+    sur = Surrogate.from_model(grid, lambda p: (p[:, 0] + p[:, 0] * p[:, 1])[:, None])
+    res = sobol_indices(sur)
+    assert np.allclose(res.principal[0], [0.5, 0.0], rtol=0, atol=1e-12)
+    assert np.allclose(res.total[0], [1.0, 0.5], rtol=0, atol=1e-12)
+    assert res.variance[0] == pytest.approx(2.0, rel=1e-12)
 
 
-def test_indices_clipped_raw_retained(ishigami_surrogate):
-    # the third principal index is 0, so raw estimates dip negative for some
-    # seeds while the clipped values never leave [0, 1]
-    raw_min = 0.0
-    for seed in range(6):
-        res = sobol_indices(ishigami_surrogate, n_samples=2048, seed=seed)
-        assert np.all(res.principal >= 0) and np.all(res.principal <= 1)
-        assert np.all(res.total >= 0) and np.all(res.total <= 1)
-        raw_min = min(raw_min, res.raw_principal.min())
-    assert raw_min < 0
+def test_exact_indices_agree_with_jansen_oracle():
+    """The screening surrogate of the beam case (``max`` w=1, 27 points, 129 outputs).
 
+    The oracle runs on 16 seeds of 4096 samples each.  Each exact index must
+    lie within z standard errors of the mean of the replicates, with z the
+    two-sided Student-t quantile (15 degrees of freedom) at a family-wise
+    false-alarm rate of 1% spread over all compared entries (Bonferroni), plus
+    1e-12 for rounding where the spread vanishes (the inert dimension's total).
+    """
+    beam = register_builtin("beam_proxy")
+    space = ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0)),
+                                       ("log_h_g", Uniform(-5.0, 0.0)),
+                                       ("log_h_p", Uniform(-5.0, 0.0))])
+    grid = build_sparse_grid(space, generate_index_set("max", 3, 1))
+    sur = Surrogate.from_model(grid, lambda p: beam.evaluate(p[:, [0, 2]]),
+                               output_names=beam.output_names)
+    res = sobol_indices(sur)
+    assert not res.degenerate.any()
 
-def test_doubling_samples_improves_on_average(ishigami_surrogate):
-    principal, total = ishigami_analytic()
-
-    def mean_error(n_samples):
-        errs = []
-        for seed in range(5):
-            res = sobol_indices(ishigami_surrogate, n_samples=n_samples, seed=seed)
-            errs.append(np.abs(res.principal[0] - principal).mean()
-                        + np.abs(res.total[0] - total).mean())
-        return np.mean(errs)
-
-    assert mean_error(8192) < mean_error(2048)
+    replicates = np.array([jansen_oracle(sur, 4096, seed) for seed in range(16)])
+    mean = replicates.mean(axis=0)                                  # (2, P, N)
+    std_err = replicates.std(axis=0, ddof=1) / np.sqrt(len(replicates))
+    z = stats.t.isf(0.01 / (2 * mean.size), df=len(replicates) - 1)
+    tol = z * std_err + 1e-12
+    exact = np.stack([res.principal, res.total])
+    assert np.all(np.abs(exact - mean) <= tol)
+    assert np.all(res.total[:, 1] == 0.0)
 
 
 def test_zero_variance_flagged_degenerate():
     sur = make_surrogate(lambda p: np.full((len(p), 1), 2.5), [(0, 1)] * 2, 1)
-    res = sobol_indices(sur, n_samples=1024, seed=0)
+    res = sobol_indices(sur)
     assert res.degenerate[0]
     assert np.all(res.principal == 0.0) and np.all(res.total == 0.0)
-
-
-def test_min_sample_size_enforced():
-    sur = make_surrogate(lambda p: p[:, :1], [(0, 1)] * 2, 1)
-    with pytest.raises(ValueError):
-        sobol_indices(sur, n_samples=512, seed=0)
-
-
-def test_gaussian_dims_rejected():
-    space = ParameterSpace.from_pairs([("a", Gaussian(0, 1)), ("b", Uniform(0, 1))])
-    grid = build_sparse_grid(space, generate_index_set("sum", 2, 1))
-    sur = Surrogate.from_model(grid, lambda p: p[:, :1])
-    with pytest.raises(ValueError):
-        sobol_indices(sur, n_samples=1024, seed=0)
-
-
-def test_low_discrepancy_sampler_option(ishigami_surrogate):
-    principal, _ = ishigami_analytic()
-    res = sobol_indices(ishigami_surrogate, n_samples=4096, seed=0, sampler="sobol")
-    assert np.allclose(res.principal[0], principal, atol=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +185,10 @@ def test_rank_threshold_validation():
 
 
 def test_json_dict_shape(ishigami_surrogate):
-    res = sobol_indices(ishigami_surrogate, n_samples=1024, seed=0)
+    res = sobol_indices(ishigami_surrogate)
     data = sobol_result_to_json_dict(res, threshold=0.05,
                                      ranking=rank_parameters(res, 0.05))
     assert data["dim_names"] == ["v1", "v2", "v3"]
+    assert data["method"] == "modal"
     assert set(data["outputs"]) == {"f0"}
     assert "keep" in data and "drop" in data
