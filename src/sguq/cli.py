@@ -199,6 +199,23 @@ def _output_ids(handle, names_or_ids, group: str, key: str):
     return ids
 
 
+def _read_data_file(path: str, handle) -> Measurements:
+    """Measurements in ``inversion.data_file``; their ids pass the configured-output check."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read inversion.data_file {path}: {exc}") from exc
+    if not isinstance(data, dict) or data.get("location_ids") is None:
+        raise ConfigError(f"inversion.data_file {path} has no 'location_ids'")
+    ids = _output_ids(handle, data["location_ids"], "displacement",
+                      "inversion.data_file location_ids")
+    try:
+        return Measurements.from_json_dict({**data, "location_ids": ids})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid inversion.data_file {path}: {exc!r}") from exc
+
+
 def _build_stage_surrogate(space, kind, w, model: StageModel, output_names):
     grid = build_sparse_grid(space, generate_index_set(kind, space.n_dims, w))
     return Surrogate.from_model(grid, model, output_names=output_names)
@@ -310,20 +327,9 @@ def run_invert(config: dict, out: Path, validate: bool = False) -> dict:
     model = StageModel(handle, space, fixed=fixed)
     meas_ids = _output_ids(handle, opts.get("measurement_outputs"), "displacement",
                            "inversion.measurement_outputs")
-    stage_dir = out / "invert"
-    stage_dir.mkdir(parents=True, exist_ok=True)
-
-    _log(f"invert: building {opts['kind']} grid, w={opts['w']}, dims {list(space.names)}"
-         + (f", fixed {fixed}" if fixed else ""))
-    surrogate = _build_stage_surrogate(space, opts["kind"], opts["w"], model,
-                                       handle.output_names)
-    _write_json(stage_dir / "surrogate.json", surrogate_to_json_dict(surrogate))
-    _log(f"invert: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
-
     data_evaluations = 0
     if opts.get("data_file"):
-        with open(opts["data_file"]) as fh:
-            meas = Measurements.from_json_dict(json.load(fh))
+        meas = _read_data_file(opts["data_file"], handle)
         meas_ids = list(meas.location_ids)
     else:
         target = opts.get("target")
@@ -341,6 +347,15 @@ def run_invert(config: dict, out: Path, validate: bool = False) -> dict:
         meas = synthesize_data(target_model, np.asarray(target, dtype=float),
                                meas_ids, opts["noise_std"], opts["seed"])
         data_evaluations = target_model.evaluations
+    stage_dir = out / "invert"
+    stage_dir.mkdir(parents=True, exist_ok=True)
+
+    _log(f"invert: building {opts['kind']} grid, w={opts['w']}, dims {list(space.names)}"
+         + (f", fixed {fixed}" if fixed else ""))
+    surrogate = _build_stage_surrogate(space, opts["kind"], opts["w"], model,
+                                       handle.output_names)
+    _write_json(stage_dir / "surrogate.json", surrogate_to_json_dict(surrogate))
+    _log(f"invert: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
     _write_json(stage_dir / "measurements.json", meas.to_json_dict())
 
     files = {"surrogate": "invert/surrogate.json",

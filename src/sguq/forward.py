@@ -14,6 +14,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads these submodules on first use (np.quantile pulls in numpy.ma);
+# importing them here charges their 40-60 ms to every command's start-up,
+# which loads them anyway, instead of to whichever stage first touches them
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .inversion import PosteriorSpec
 from .surrogate import Gaussian, Surrogate, Uniform

@@ -16,8 +16,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from ._trf import trf_unit_box
 from .surrogate import Gaussian, ParameterSpace, Surrogate, Uniform
 
 __all__ = [
@@ -155,7 +155,7 @@ class MapResult:
     minima: list            # all clustered local minima
     n_starts: int
     seed: int
-    starts: list            # per start: scipy's status, nfev and njev
+    starts: list            # per start: status (SciPy's codes), nfev and njev
 
     @property
     def n_not_converged(self) -> int:
@@ -174,13 +174,15 @@ def find_map(surrogate: Surrogate, meas: Measurements, n_starts: int = 16,
              seed: int = 0) -> MapResult:
     """Multi-start bounded trust-region least squares on the misfit.
 
-    Starts are a Latin hypercube over the prior box.  Each runs scipy's
-    trust-region reflective method (Branch, Coleman & Li, SIAM J. Sci.
-    Comput. 1999) in box-normalized coordinates bounded to [0, 1]: the
+    Starts are a Latin hypercube over the prior box.  Each runs a numpy port
+    of SciPy's trust-region reflective method (Branch, Coleman & Li, SIAM J.
+    Sci. Comput. 1999) in box-normalized coordinates bounded to [0, 1]: the
     residual is the surrogate minus the data and the Jacobian is the
     surrogate's exact one scaled by the box width, so every iterate and
-    every minimum stays inside the box.  Converged points are merged within
-    a small box-normalized distance and the lowest misfit is the MAP.
+    every minimum stays inside the box.  Each start's status keeps SciPy's
+    meaning: 0 the budget of 100 d residual evaluations ran out, 1 gtol,
+    2 ftol, 3 xtol, 4 ftol and xtol.  Converged points are merged within a
+    small box-normalized distance and the lowest misfit is the MAP.
     """
     if n_starts < 4:
         raise ValueError(f"n_starts must be >= 4, got {n_starts}")
@@ -197,13 +199,11 @@ def find_map(surrogate: Surrogate, meas: Measurements, n_starts: int = 16,
 
     raw, starts = [], []
     for z0 in _latin_hypercube(n_starts, space.n_dims, seed):
-        res = optimize.least_squares(residual, z0, jac=jacobian, bounds=(0.0, 1.0),
-                                     method="trf", ftol=TRF_TOL, xtol=TRF_TOL, gtol=TRF_TOL)
-        starts.append({"status": int(res.status), "nfev": int(res.nfev),
-                       "njev": int(res.njev)})
+        res = trf_unit_box(residual, jacobian, z0, TRF_TOL)
+        starts.append({"status": res.status, "nfev": res.nfev, "njev": res.njev})
         # res.x lies in [0, 1], but lo + x * width can round past the box;
         # res.cost is half the sum of squares
-        raw.append((np.clip(lo + res.x * width, box[0], box[1]), 2.0 * float(res.cost),
+        raw.append((np.clip(lo + res.x * width, box[0], box[1]), 2.0 * res.cost,
                     lo + z0 * width))
 
     raw.sort(key=lambda t: t[1])

@@ -284,14 +284,14 @@ def _basis_tables(dists, X: np.ndarray, degree: int, derivatives: int = 0) -> np
     t = (np.asarray(X, dtype=float) - center) / half
     out = np.zeros((derivatives + 1,) + t.shape + (degree + 1,))
     out[0, ..., 0] = 1.0
+    # derivative orders 1..derivatives, broadcast over the points and marginals
+    orders = np.arange(1.0, derivatives + 1).reshape((-1,) + (1,) * t.ndim)
     for j in range(degree):
-        for r in range(derivatives + 1):
-            nxt = t * out[r, ..., j]
-            if r:
-                nxt += r * out[r - 1, ..., j]
-            if j:
-                nxt -= b[:, j - 1] * out[r, ..., j - 1]
-            out[r, ..., j + 1] = nxt / b[:, j]
+        nxt = t * out[..., j]
+        nxt[1:] += orders * out[:-1, ..., j]
+        if j:
+            nxt -= b[:, j - 1] * out[..., j - 1]
+        out[..., j + 1] = nxt / b[:, j]
     for r in range(1, derivatives + 1):
         out[r] /= half[:, None] ** r
     return out

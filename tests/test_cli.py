@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -287,6 +289,36 @@ def test_invert_consumes_data_file(tmp_path):
     assert saved["values"] == data["values"]
 
 
+@pytest.mark.parametrize("content", [
+    {"values": [0.9], "location_ids": [500], "noise_std": 0.01},
+    {"values": [0.9], "location_ids": [-1], "noise_std": 0.01},
+    {"values": [0.9], "location_ids": [1.5], "noise_std": 0.01},
+    {"values": [0.9], "location_ids": [True], "noise_std": 0.01},
+    {"values": [0.9], "noise_std": 0.01},
+    {"values": [0.9, 0.8], "location_ids": [0], "noise_std": 0.01},
+    {"values": [0.9], "location_ids": [0], "noise_std": 0.0},
+    {"values": [0.9], "location_ids": [0]},
+    "{not json",
+    None,
+], ids=["id_500", "id_-1", "id_1.5", "id_true", "no_ids", "length_mismatch",
+        "zero_noise", "no_noise", "malformed_json", "missing_file"])
+def test_bad_data_file_exits_2_before_any_solver_run(tmp_path, capsys, content):
+    # the solver always fails, so a solver run first would exit 3
+    data_file = tmp_path / "data.json"
+    if content is not None:
+        data_file.write_text(content if isinstance(content, str) else json.dumps(content))
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"], "data_file": str(data_file)})
+    del cfg["inversion"]["target"]
+    cfg["model"] = {"command": [sys.executable, "-c", "import sys; sys.exit(1)"],
+                    "workdir": str(tmp_path / "w"),
+                    "inputs": ["T_A", "log_h_g", "log_h_p"],
+                    "outputs": ["u_1", "u_2"]}
+    assert main(["invert", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "inversion.data_file" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 # ---------------------------------------------------------------------------
 # forward stage and pipeline
 # ---------------------------------------------------------------------------
@@ -359,6 +391,28 @@ def test_pipeline_with_validation_adds_100_evaluations(tmp_path):
         < float(r["prior_q95"]) - float(r["prior_q05"])
         for r in rows)
     assert narrower >= 0.95 * len(rows)
+
+
+def test_no_scipy_module_is_loaded(tmp_path):
+    # scipy is a test dependency only: neither start-up nor a full run may import it
+    cfg_path = write_config(tmp_path, beam_config(forward={"n_samples": 500}))
+    script = (
+        "import sys\n"
+        "import sguq.cli\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(scipy_modules())\n"
+        f"code = sguq.cli.main(['pipeline', '--config', {cfg_path!r}, '--out', 'o',\n"
+        "                       '--validate', '--compare-prior', '--densities'])\n"
+        "print(code, scipy_modules())\n")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == ["[]", "0 []"]
 
 
 def test_pipeline_stops_at_first_failing_stage(tmp_path):

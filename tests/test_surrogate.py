@@ -13,6 +13,7 @@ from sguq.surrogate import (
     Surrogate,
     TensorGrid,
     Uniform,
+    _basis_tables,
     build_sparse_grid,
     detail_decomposition_check,
     surrogate_from_json_dict,
@@ -303,6 +304,42 @@ def test_first_order_derivatives_match_second_order_ones():
         assert np.max(np.abs(jac1 - jac2)) <= 1e-15 * np.abs(jac2).max()
     with pytest.raises(ValueError, match="order"):
         sur.derivatives(v, order=0)
+
+
+def basis_tables_loop(dists, X, degree, derivatives=0):
+    """The one-step-per-degree-and-order recurrence, kept as the oracle."""
+    k = np.arange(1, degree + 1, dtype=float)
+    uniform = [isinstance(d, Uniform) for d in dists]
+    center = np.array([0.5 * (d.a + d.b) if u else d.mean for d, u in zip(dists, uniform)])
+    half = np.array([0.5 * (d.b - d.a) if u else d.std for d, u in zip(dists, uniform)])
+    b = np.array([k / np.sqrt(4 * k * k - 1) if u else np.sqrt(k) for u in uniform])
+    t = (np.asarray(X, dtype=float) - center) / half
+    out = np.zeros((derivatives + 1,) + t.shape + (degree + 1,))
+    out[0, ..., 0] = 1.0
+    for j in range(degree):
+        for r in range(derivatives + 1):
+            nxt = t * out[r, ..., j]
+            if r:
+                nxt += r * out[r - 1, ..., j]
+            if j:
+                nxt -= b[:, j - 1] * out[r, ..., j - 1]
+            out[r, ..., j + 1] = nxt / b[:, j]
+    for r in range(1, derivatives + 1):
+        out[r] /= half[:, None] ** r
+    return out
+
+
+@pytest.mark.parametrize("derivatives", [0, 1, 2])
+@pytest.mark.parametrize("degree", range(1, 10))
+def test_basis_tables_equal_the_loop_recurrence(degree, derivatives):
+    dists = [Uniform(1130.0, 1450.0), Gaussian(10.0, 2.0), Uniform(-5.0, 0.0),
+             Gaussian(0.0, 1.0)]
+    rng = np.random.default_rng(degree)
+    X = np.column_stack([rng.uniform(1130.0, 1450.0, 7), rng.normal(10.0, 2.0, 7),
+                         rng.uniform(-5.0, 0.0, 7), rng.normal(0.0, 1.0, 7)])
+    for x in (X, X[:1]):
+        assert np.array_equal(_basis_tables(dists, x, degree, derivatives),
+                              basis_tables_loop(dists, x, degree, derivatives))
 
 
 # ---------------------------------------------------------------------------
