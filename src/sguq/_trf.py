@@ -41,10 +41,12 @@ Coleman & Li, SIAM J. Sci. Comput. 1999).  Each step is the best of the
 step-back trust-region step, its reflection off the first bound it hits and
 the constrained anti-gradient step.  Iterates stay strictly inside the box.
 
-The arithmetic follows SciPy operation by operation, so a start takes the
-same path as SciPy's unless the two LAPACK builds round an SVD differently
-at a stopping test.  The status codes keep SciPy's meanings: 0 the
-evaluation budget ran out, 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol.
+The arithmetic follows SciPy operation by operation: given the same SVD, a
+start ends bit for bit where SciPy's does.  numpy and SciPy may link
+different LAPACK builds, whose last-bit differences can tip a stopping test
+or the choice among near-equal steps at a box-edge minimum.  The status
+codes keep SciPy's meanings: 0 the evaluation budget ran out, 1 gtol,
+2 ftol, 3 xtol, 4 ftol and xtol.
 """
 
 from __future__ import annotations
@@ -117,10 +119,6 @@ def trf_unit_box(fun, jac, x0, tol: float) -> TrfResult:
             f_new = fun(x_new)
             nfev += 1
             step_h_norm = norm(step_h)
-            if not np.all(np.isfinite(f_new)):
-                Delta = 0.25 * step_h_norm
-                continue
-
             cost_new = 0.5 * np.dot(f_new, f_new)
             actual_reduction = cost - cost_new
             Delta_new, ratio = _update_radius(Delta, actual_reduction, predicted_reduction,

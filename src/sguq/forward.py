@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 # numpy loads these submodules on first use (np.quantile pulls in numpy.ma);
-# importing them here charges their 40-60 ms to every command's start-up,
-# which loads them anyway, instead of to whichever stage first touches them
+# importing them here keeps their 40-60 ms in start-up instead of in the
+# timing of whichever stage first touches them
 import numpy.fft  # noqa: F401
 import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
