@@ -311,7 +311,7 @@ def _step_to_bound(x, s):
 
 
 def _strictly_feasible(x, rstep):
-    """x moved at least rstep inside [0, 1]; rstep 0 moves a point on or past a bound one ulp in."""
+    """x with coordinates within rstep of a bound moved rstep inside; rstep 0 moves one ulp in."""
     x_new = x.copy()
     if rstep == 0:
         x_new[x <= 0.0] = np.nextafter(0.0, 1.0)

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 import scipy.optimize
-import scipy.optimize._lsq.trf
 from scipy.optimize import minimize
 
 import sguq.inversion
@@ -348,7 +347,7 @@ def test_trf_port_agrees_with_scipy_least_squares(monkeypatch):
         assert np.linalg.norm(ours.x - ref.x) < 1e-7
     assert same_record >= 0.99 * len(calls)
 
-    monkeypatch.setattr(scipy.optimize._lsq.trf, "svd",
+    monkeypatch.setattr("scipy.optimize._lsq.trf.svd",
                         lambda a, full_matrices: np.linalg.svd(a, full_matrices=full_matrices))
     for fun, jac, x0, tol, ours in calls:
         ref = scipy_trf(fun, jac, x0, tol)
