@@ -19,23 +19,25 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .forward import (
-    BandComparison, estimate_density, propagate, sample_posterior,
-    uncertainty_bands, write_bands_csv, write_densities_json,
+    MIN_KDE_GRID, MIN_KDE_SAMPLES, BandComparison, estimate_density, propagate,
+    sample_posterior, uncertainty_bands, write_bands_csv, write_densities_json,
 )
-from .indices import generate_index_set
+from .indices import KINDS, generate_index_set
 from .inversion import (
-    InversionError, Measurements, PosteriorSpec, build_posterior, find_map,
-    laplace_covariance, profile_likelihood, sigma_map, synthesize_data,
-    write_inversion_report,
+    MIN_PROFILE_GRID, MIN_STARTS, InversionError, Measurements, PosteriorSpec,
+    build_posterior, find_map, laplace_covariance, profile_likelihood, sigma_map,
+    synthesize_data, write_inversion_report,
 )
 from .models import ExternalModel, ExternalModelError, register_builtin
 from .sobol import rank_parameters, sobol_indices, sobol_result_to_json_dict
@@ -48,22 +50,24 @@ EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_NUMERICAL = 4
 
-STAGE_DEFAULTS = {
+#: every stage option and its default (None: no default); a default's type is its option's
+STAGE_OPTIONS = {
     # the Sobol indices are exact: gsa n_samples and seed are only echoed in sobol.json
-    "gsa": {"kind": "max", "w": 1, "n_samples": 16384, "seed": 0, "threshold": 0.05},
+    "gsa": {"kind": "max", "w": 1, "n_samples": 16384, "seed": 0, "threshold": 0.05,
+            "outputs": None, "exclude_outputs": None},
     "inversion": {"kind": "sum", "w": 3, "n_starts": 16, "seed": 0, "start_seed": 1,
                   "chi2_threshold": 3.84, "flat_fraction": 0.5, "profile_grid": 101,
-                  "validation_samples": 50, "validation_seed": 0},
+                  "validation_samples": 50, "validation_seed": 0,
+                  "dims": None, "fixed_values": None, "data_file": None, "target": None,
+                  "noise_std": None, "measurement_outputs": None},
     "forward": {"kind": "sum", "w": 3, "n_samples": 10000, "seed": 0, "kde_grid": 512,
-                "validation_samples": 50, "validation_seed": 0},
+                "validation_samples": 50, "validation_seed": 0,
+                "posterior_file": None, "prior_surrogate_file": None, "qoi_outputs": None},
 }
-#: stage keys without a default; any key outside these and the defaults is an error
-STAGE_OPTIONAL = {
-    "gsa": ("outputs", "exclude_outputs"),
-    "inversion": ("dims", "fixed_values", "data_file", "target", "noise_std",
-                  "measurement_outputs"),
-    "forward": ("posterior_file", "prior_surrogate_file", "qoi_outputs"),
-}
+#: integer options whose lower bound is not 0
+MIN_VALUES = {"inversion.n_starts": MIN_STARTS, "inversion.profile_grid": MIN_PROFILE_GRID,
+              "inversion.validation_samples": 1, "forward.validation_samples": 1,
+              "forward.n_samples": MIN_KDE_SAMPLES, "forward.kde_grid": MIN_KDE_GRID}
 
 
 class ConfigError(ValueError):
@@ -74,35 +78,98 @@ def _log(msg: str):
     print(f"sguq: {msg}", file=sys.stderr)
 
 
-def _load_config(path: str) -> dict:
-    """Read a config and check its parameter space, which every stage parses."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _require(ok: bool, key: str, rule: str, value):
+    if not ok:
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
+
+
+def _check_section(config: dict, stage: str) -> dict:
+    """A stage's options with defaults filled in; each given one has its default's type."""
+    given = config.get(stage, {})
+    _require(isinstance(given, dict), f"config section {stage!r}", "an object", given)
+    unknown = sorted(set(given) - set(STAGE_OPTIONS[stage]))
+    if unknown:
+        raise ConfigError(f"unknown {stage} option(s) {unknown}")
+    for key, value in given.items():
+        default, name = STAGE_OPTIONS[stage][key], f"{stage}.{key}"
+        low = MIN_VALUES.get(name, 0)
+        if isinstance(default, str):
+            _require(isinstance(value, str) and value.lower() in KINDS, name, f"in {KINDS}", value)
+        elif isinstance(default, int):
+            _require(_is_number(value) and isinstance(value, int) and value >= low, name,
+                     f"an integer >= {low}", value)
+        elif isinstance(default, float):
+            _require(_is_number(value), name, "a number", value)
+        elif key.endswith("_file"):
+            _require(isinstance(value, str) and value, name, "a file path", value)
+    return {**STAGE_OPTIONS[stage], **given}
+
+
+#: a checked config: the dict as read (the manifest hashes it), space, model handle, and per stage
+#: the options with defaults, outputs as ids and (invert, pipeline) the data file's Measurements
+Config = namedtuple("Config", "raw space handle stages")
+
+
+def _load_config(path: str, command: str) -> Config:
+    """Read a config and check all of it, before any stage runs a solver."""
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        _space_from_json(config["space"])
+        space = _space_from_json(raw["space"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid parameter space: {exc}") from exc
-    return config
+    handle = _make_model(raw)
+    missing = [n for n in handle.input_names if n not in space.names]
+    _require(not missing, "model inputs", "names in the parameter space", missing)
+    stages = {stage: _check_section(raw, stage) for stage in STAGE_OPTIONS}
+    gsa, inv, fwd = stages.values()
+
+    excluded = (_output_ids(handle, gsa["exclude_outputs"], "none", "gsa.exclude_outputs")
+                if gsa["exclude_outputs"] else [])
+    gsa["outputs"] = [i for i in _output_ids(handle, gsa["outputs"], "displacement",
+                                             "gsa.outputs") if i not in excluded]
+    if not gsa["outputs"]:
+        raise ConfigError("all GSA outputs were excluded")
+    inv["measurement_outputs"] = _output_ids(handle, inv["measurement_outputs"],
+                                             "displacement", "inversion.measurement_outputs")
+    fwd["qoi_outputs"] = _output_ids(handle, fwd["qoi_outputs"], "strain", "forward.qoi_outputs")
+    dims, target, noise, fixed = (inv[k] for k in ("dims", "target", "noise_std", "fixed_values"))
+    _require(dims is None or isinstance(dims, list) and dims
+             and all(d in space.names for d in dims), "inversion.dims",
+             f"a non-empty list of names in {list(space.names)}", dims)
+    _require(target is None or isinstance(target, list) and all(map(_is_number, target)),
+             "inversion.target", "a list of numbers", target)
+    _require(0 < gsa["threshold"] < 1, "gsa.threshold", "in (0, 1)", gsa["threshold"])
+    _require(noise is None or _is_number(noise) and noise > 0, "inversion.noise_std",
+             "a number > 0", noise)
+    _require(fixed is None or isinstance(fixed, dict), "inversion.fixed_values", "an object", fixed)
+    for name, value in (fixed or {}).items():
+        _require(name in space.names, "inversion.fixed_values", "keyed by dimension names", name)
+        _require(_is_number(value), f"inversion.fixed_values.{name}", "a number", value)
+
+    # the screening stage may run before the measurements exist
+    if command in ("invert", "pipeline"):
+        if inv["data_file"] is not None:
+            inv["data_file"] = _read_data_file(inv["data_file"], handle)
+        elif target is None:
+            raise ConfigError("inversion requires 'target' (synthetic data) or 'data_file'")
+        elif noise is None:
+            raise ConfigError("synthetic data requires 'noise_std'")
+    return Config(raw, space, handle, stages)
 
 
-def _stage_options(config: dict, stage: str) -> dict:
-    given = config.get(stage, {})
-    if not isinstance(given, dict):
-        raise ConfigError(f"config section {stage!r} must be an object")
-    unknown = sorted(set(given) - set(STAGE_DEFAULTS[stage]) - set(STAGE_OPTIONAL[stage]))
-    if unknown:
-        raise ConfigError(f"unknown {stage} option(s) {unknown}")
-    return {**STAGE_DEFAULTS[stage], **given}
-
-
-def _fixed_values(config: dict, space: ParameterSpace, kept) -> dict:
+def _fixed_values(config: Config, kept) -> dict:
     """Values of the dims left out of ``kept``: configured, else the interval midpoint."""
-    configured = _stage_options(config, "inversion").get("fixed_values", {})
+    configured = config.stages["inversion"]["fixed_values"] or {}
     fixed = {}
-    for d in space.dims:
+    for d in config.space.dims:
         if d.name not in kept:
             if not isinstance(d.dist, Uniform):
                 raise ConfigError(f"cannot fix non-uniform dimension {d.name!r}")
@@ -143,10 +210,6 @@ class StageModel:
     def __init__(self, handle, space: ParameterSpace, fixed: dict | None = None):
         self.handle = handle
         self.space = space
-        missing = [n for n in handle.input_names
-                   if n not in space.names and n not in (fixed or {})]
-        if missing:
-            raise ConfigError(f"model inputs {missing} not found in parameter space")
         self._fixed = dict(fixed or {})
         self._cache: dict[tuple, np.ndarray] = {}
         self.evaluations = 0
@@ -181,8 +244,7 @@ def _output_ids(handle, names_or_ids, group: str, key: str):
     if names_or_ids is None:
         ids = getattr(handle, "output_groups", {}).get(group)
         return list(ids) if ids else list(range(handle.n_outputs))
-    if not isinstance(names_or_ids, list):
-        raise ConfigError(f"{key} must be a list of output names or ids")
+    _require(isinstance(names_or_ids, list), key, "a list of output names or ids", names_or_ids)
     ids = []
     for o in names_or_ids:
         if isinstance(o, str):
@@ -263,19 +325,10 @@ def _write_json(path: Path, data):
 # stages
 # ---------------------------------------------------------------------------
 
-def run_gsa(config: dict, out: Path) -> dict:
-    opts = _stage_options(config, "gsa")
-    space = _space_from_json(config["space"])
-    handle = _make_model(config)
+def run_gsa(config: Config, out: Path) -> dict:
+    opts, space, handle = config.stages["gsa"], config.space, config.handle
     model = StageModel(handle, space)
-    participating = _output_ids(handle, opts.get("outputs"), "displacement", "gsa.outputs")
-    excluded = set(_output_ids(handle, opts.get("exclude_outputs"), "none",
-                               "gsa.exclude_outputs")
-                   if opts.get("exclude_outputs") else [])
-    participating = [i for i in participating if i not in excluded]
-    if not participating:
-        raise ConfigError("all GSA outputs were excluded")
-    if {"n_samples", "seed"} & set(config.get("gsa", {})):
+    if {"n_samples", "seed"} & set(config.raw.get("gsa", {})):
         _log("gsa: n_samples and seed are unused; the Sobol indices are exact")
     stage_dir = out / "gsa"
     stage_dir.mkdir(parents=True, exist_ok=True)
@@ -286,7 +339,7 @@ def run_gsa(config: dict, out: Path) -> dict:
     _log(f"gsa: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
 
     result = sobol_indices(surrogate)
-    ranking = rank_parameters(result, opts["threshold"], outputs=participating)
+    ranking = rank_parameters(result, opts["threshold"], outputs=opts["outputs"])
     data = sobol_result_to_json_dict(result, opts["threshold"], ranking)
     data.update(sample_size=opts["n_samples"], seed=opts["seed"])
     _write_json(stage_dir / "sobol.json", data)
@@ -298,47 +351,31 @@ def run_gsa(config: dict, out: Path) -> dict:
             "files": {"sobol": "gsa/sobol.json"}}
 
 
-def _reduced_space(config: dict, out: Path) -> tuple[ParameterSpace, dict]:
-    """Inversion-stage space: configured dims, else the screening keep list."""
-    space = _space_from_json(config["space"])
-    opts = _stage_options(config, "inversion")
-    dims = opts.get("dims")
-    if dims is None:
-        sobol_file = out / "gsa" / "sobol.json"
-        if sobol_file.exists():
-            with open(sobol_file) as fh:
-                data = json.load(fh)
-            dims = [data["dim_names"][i] for i in data.get("keep", range(len(data["dim_names"])))]
-        else:
-            dims = list(space.names)
-    unknown = [d for d in dims if d not in space.names]
-    if unknown:
-        raise ConfigError(f"inversion dims {unknown} not in parameter space")
+def _reduced_space(config: Config, out: Path) -> tuple[ParameterSpace, dict]:
+    """Inversion-stage space: configured dims, else the screening keep list, else all."""
+    space, dims = config.space, config.stages["inversion"]["dims"]
+    sobol_file = out / "gsa" / "sobol.json"
+    if dims is None and sobol_file.exists():
+        with open(sobol_file) as fh:
+            data = json.load(fh)
+        dims = [data["dim_names"][i] for i in data.get("keep", range(len(data["dim_names"])))]
+        _require(set(dims) <= set(space.names), f"the keep list of {sobol_file}",
+                 "names in the parameter space", dims)
+    dims = list(space.names) if dims is None else dims
     kept = tuple(d for d in space.dims if d.name in dims)
-    return ParameterSpace(dims=kept), _fixed_values(config, space, dims)
+    return ParameterSpace(dims=kept), _fixed_values(config, dims)
 
 
-def run_invert(config: dict, out: Path, validate: bool = False) -> dict:
-    opts = _stage_options(config, "inversion")
-    handle = _make_model(config)
+def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
+    opts, handle = config.stages["inversion"], config.handle
     space, fixed = _reduced_space(config, out)
-    if not space.is_all_uniform():
-        raise ConfigError("inversion requires uniform (prior-stage) dimensions")
+    _require(space.is_all_uniform(), "the inverted dimensions", "uniform", list(space.names))
     model = StageModel(handle, space, fixed=fixed)
-    meas_ids = _output_ids(handle, opts.get("measurement_outputs"), "displacement",
-                           "inversion.measurement_outputs")
-    data_evaluations = 0
-    if opts.get("data_file"):
-        meas = _read_data_file(opts["data_file"], handle)
-        meas_ids = list(meas.location_ids)
-    else:
-        target = opts.get("target")
-        if target is None:
-            raise ConfigError("inversion requires 'target' (synthetic data) or 'data_file'")
-        if len(target) != space.n_dims:
-            raise ConfigError(f"target length {len(target)} != reduced dimension {space.n_dims}")
-        if "noise_std" not in opts:
-            raise ConfigError("synthetic data requires 'noise_std'")
+    meas, target, data_evaluations = opts["data_file"], opts["target"], 0
+    meas_ids = opts["measurement_outputs"] if meas is None else list(meas.location_ids)
+    if meas is None:
+        _require(len(target) == space.n_dims, "inversion.target",
+                 f"{space.n_dims} long, one value per inverted dimension", target)
         box = space.uniform_box()
         if np.any(np.asarray(target) < box[0]) or np.any(np.asarray(target) > box[1]):
             raise ConfigError("synthetic-data target lies outside the prior box")
@@ -401,18 +438,14 @@ def run_invert(config: dict, out: Path, validate: bool = False) -> dict:
             "files": files}
 
 
-def run_forward(config: dict, out: Path, validate: bool = False,
+def run_forward(config: Config, out: Path, validate: bool = False,
                 compare_prior: bool = False, prior_only: bool = False,
                 densities: bool = False) -> dict:
-    opts = _stage_options(config, "forward")
-    kde_grid = opts["kde_grid"]
-    if not isinstance(kde_grid, int) or isinstance(kde_grid, bool) or kde_grid < 2:
-        raise ConfigError(f"forward.kde_grid must be an integer >= 2, got {kde_grid!r}")
-    handle = _make_model(config)
+    opts, handle = config.stages["forward"], config.handle
     stage_dir = out / "forward"
     stage_dir.mkdir(parents=True, exist_ok=True)
 
-    posterior_file = opts.get("posterior_file", str(out / "invert" / "posterior.json"))
+    posterior_file = opts["posterior_file"] or str(out / "invert" / "posterior.json")
     if prior_only:
         space, fixed = _reduced_space(config, out)
         posterior = PosteriorSpec.from_prior(space)
@@ -422,11 +455,11 @@ def run_forward(config: dict, out: Path, validate: bool = False,
                               "(run the inversion stage or pass --prior-only)")
         with open(posterior_file) as fh:
             posterior = PosteriorSpec.from_json_dict(json.load(fh))
-        fixed = _fixed_values(config, _space_from_json(config["space"]), posterior.names)
+        fixed = _fixed_values(config, posterior.names)
 
     post_space = ParameterSpace.from_pairs(zip(posterior.names, posterior.marginals))
     model = StageModel(handle, post_space, fixed=fixed)
-    qoi_ids = _output_ids(handle, opts.get("qoi_outputs"), "strain", "forward.qoi_outputs")
+    qoi_ids = opts["qoi_outputs"]
     qoi_names = tuple(handle.output_names[i] for i in qoi_ids)
 
     _log(f"forward: building {opts['kind']} grid, w={opts['w']} on the "
@@ -449,7 +482,7 @@ def run_forward(config: dict, out: Path, validate: bool = False,
         if tuple(prior_space.names) != tuple(posterior.names):
             raise ConfigError("prior space dims do not match the posterior spec")
         prior_spec = PosteriorSpec.from_prior(prior_space)
-        prior_file = opts.get("prior_surrogate_file", str(out / "invert" / "surrogate.json"))
+        prior_file = opts["prior_surrogate_file"] or str(out / "invert" / "surrogate.json")
         if Path(prior_file).exists():
             with open(prior_file) as fh:
                 prior_full = surrogate_from_json_dict(json.load(fh))
@@ -486,7 +519,7 @@ def run_forward(config: dict, out: Path, validate: bool = False,
             "files": files}
 
 
-def run_pipeline(config: dict, out: Path, validate: bool = False,
+def run_pipeline(config: Config, out: Path, validate: bool = False,
                  compare_prior: bool = False, densities: bool = False) -> dict:
     stages = {}
     stages["gsa"] = run_gsa(config, out)
@@ -533,7 +566,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        config = _load_config(args.config)
+        config = _load_config(args.config, args.command)
         if args.command == "gsa":
             stages = {"gsa": run_gsa(config, out)}
         elif args.command == "invert":
@@ -553,14 +586,11 @@ def main(argv=None) -> int:
     except ExternalModelError as exc:
         _log(f"model error: {exc}")
         return EXIT_MODEL
-    except InversionError as exc:
-        _log(f"numerical failure: {exc}")
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (InversionError, ValueError) as exc:
         _log(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
 
-    _write_manifest(out, config, stages)
+    _write_manifest(out, config.raw, stages)
     _log(f"done; manifest at {out / 'manifest.json'}")
     return 0
 

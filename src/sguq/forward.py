@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 KDE_GRID_SIZE = 512
+MIN_KDE_GRID = 2
 #: the binned KDE bins finer than the output grid until a bandwidth spans this
 #: many cells, up to KDE_MAX_REFINE sub-cells per output cell
 KDE_BINS_PER_BANDWIDTH = 8
@@ -142,8 +143,8 @@ def estimate_density(values: np.ndarray, grid_size: int = KDE_GRID_SIZE) -> Dens
     values = np.asarray(values, dtype=float).ravel()
     if len(values) < MIN_KDE_SAMPLES:
         raise ValueError(f"density estimation needs >= {MIN_KDE_SAMPLES} values, got {len(values)}")
-    if grid_size < 2:
-        raise ValueError(f"density grid needs >= 2 points, got {grid_size}")
+    if grid_size < MIN_KDE_GRID:
+        raise ValueError(f"density grid needs >= {MIN_KDE_GRID} points, got {grid_size}")
     vmin, vmax = float(values.min()), float(values.max())
     if vmax == vmin:
         return DensityEstimate(samples=values, bandwidth=0.0,

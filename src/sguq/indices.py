@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 MultiIndex = tuple[int, ...]
+#: the defining families ``generate_index_set`` builds
+KINDS = ("sum", "max")
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def generate_index_set(kind: str, dim: int, w: int) -> MultiIndexSet:
         _extend((), w)
         indices.sort()
     else:
-        raise ValueError(f"unknown index-set kind {kind!r}; expected 'sum' or 'max'")
+        raise ValueError(f"unknown index-set kind {kind!r}; expected one of {KINDS}")
     return MultiIndexSet(kind=kind, w=w, dim=dim, indices=tuple(indices))
 
 

@@ -13,6 +13,7 @@ or weakly identifiable (uniform marginal on the profile confidence interval).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ __all__ = [
 TRF_TOL = 1e-10
 #: converged points closer than this (box-normalized) merge into one cluster
 CLUSTER_TOL = 1e-3
+#: fewest MAP starts and profile points that find_map and profile_likelihood accept
+MIN_STARTS = 4
+MIN_PROFILE_GRID = 33
 #: 95% chi-square(1) quantile applied to the profile confidence sets
 CHI2_95 = 3.84
 #: a profile confidence interval wider than this fraction of the prior range
@@ -62,7 +66,8 @@ class InversionError(RuntimeError):
 class Measurements:
     """Displacement data used by the misfit functional.
 
-    ``location_ids`` index output components of the displacement surrogate.
+    ``location_ids`` index output components of the displacement surrogate;
+    each is a non-negative integer (numpy integers included, bools not).
     ``target`` records the generating parameter vector for synthetic data.
     """
 
@@ -74,7 +79,9 @@ class Measurements:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.location_ids = tuple(int(i) for i in self.location_ids)
+        if any(isinstance(i, bool) or operator.index(i) < 0 for i in self.location_ids):
+            raise ValueError(f"location ids must be integers >= 0, got {self.location_ids}")
+        self.location_ids = tuple(map(operator.index, self.location_ids))
         if len(self.values) != len(self.location_ids):
             raise ValueError("values and location_ids lengths differ")
         if self.noise_std <= 0:
@@ -184,8 +191,8 @@ def find_map(surrogate: Surrogate, meas: Measurements, n_starts: int = 16,
     2 ftol, 3 xtol, 4 ftol and xtol.  Converged points are merged within a
     small box-normalized distance and the lowest misfit is the MAP.
     """
-    if n_starts < 4:
-        raise ValueError(f"n_starts must be >= 4, got {n_starts}")
+    if n_starts < MIN_STARTS:
+        raise ValueError(f"n_starts must be >= {MIN_STARTS}, got {n_starts}")
     space = surrogate.grid.space
     box = space.uniform_box()
     lo, width = box[0], box[1] - box[0]
@@ -299,8 +306,8 @@ def profile_likelihood(surrogate: Surrogate, meas: Measurements, dim: int,
     Returns (grid, ls) arrays; a fixed one-dimensional cut, not a
     re-optimized profile.
     """
-    if grid_size < 33:
-        raise ValueError(f"grid_size must be >= 33, got {grid_size}")
+    if grid_size < MIN_PROFILE_GRID:
+        raise ValueError(f"grid_size must be >= {MIN_PROFILE_GRID}, got {grid_size}")
     space = surrogate.grid.space
     box = space.uniform_box()
     grid = np.linspace(box[0, dim], box[1, dim], grid_size)

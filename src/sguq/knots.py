@@ -29,7 +29,6 @@ ties broken toward the smaller coordinate, and is numerically deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,25 +58,6 @@ def level_to_knots(level: int) -> int:
     return 2 * level - 1
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    """Maximize a unimodal f on [lo, hi] to an interval of width tol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _argmax_scan_refine(logf, dlogf, lo: float, hi: float,
                         n_candidates: int = SCAN_CANDIDATES) -> float:
     """Dense scan of logf on [lo, hi], then derivative bisection in the bracket."""
@@ -87,21 +67,22 @@ def _argmax_scan_refine(logf, dlogf, lo: float, hi: float,
     blo = cand[max(best - 1, 0)]
     bhi = cand[min(best + 1, n_candidates - 1)]
     tol = REFINE_TOL * (hi - lo)
-    da, db = dlogf(blo), dlogf(bhi)
-    if da > 0.0 > db:
-        a, b = blo, bhi
-        while (b - a) > tol:
-            m = 0.5 * (a + b)
-            dm = dlogf(m)
-            if dm == 0.0:
-                return m
-            if dm > 0.0:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-    # maximum not bracketed by a sign change (grid edge): value-based fallback
-    return _golden_section_max(lambda v: float(logf(np.array([v]))[0]), blo, bhi, tol)
+    # logf is strictly concave between neighbouring existing points, and both
+    # ends of [lo, hi] lie at existing points (the Gaussian's far end at weight
+    # e^-100 instead), so the best candidate is bracketed by a sign change
+    if not dlogf(blo) > 0.0 > dlogf(bhi):
+        raise AssertionError(f"no derivative sign change brackets the argmax in [{blo}, {bhi}]")
+    a, b = blo, bhi
+    while (b - a) > tol:
+        m = 0.5 * (a + b)
+        dm = dlogf(m)
+        if dm == 0.0:
+            return m
+        if dm > 0.0:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
 
 
 def _log_distance_product(cand: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -39,6 +39,14 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def failing_model(tmp_path):
+    # the solver always fails, so a solver run before the config check would exit 3
+    return {"command": [sys.executable, "-c", "import sys; sys.exit(1)"],
+            "workdir": str(tmp_path / "w"),
+            "inputs": ["T_A", "log_h_g", "log_h_p"],
+            "outputs": ["u_1", "u_2", "eps_1"]}
+
+
 @pytest.fixture(autouse=True)
 def pinned_timestamp(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -415,12 +423,84 @@ def test_no_scipy_module_is_loaded(tmp_path):
     assert proc.stdout.splitlines() == ["[]", "0 []"]
 
 
-def test_pipeline_stops_at_first_failing_stage(tmp_path):
-    # inversion misconfigured: gsa outputs must survive, invert must fail
-    cfg = beam_config(inversion={"noise_std": 0.01})
-    del cfg["inversion"]["target"]
+def test_pipeline_stops_at_first_failing_stage(tmp_path, capsys):
+    # a 3-long target fits the config but not the 2 dims the screening keeps, which
+    # only the GSA stage can tell: gsa outputs must survive, invert must fail
+    cfg = beam_config(inversion={"target": [1339.8, -2.5, -3.75]})
     out = tmp_path / "o"
     assert main(["pipeline", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 2
+    assert "target" in capsys.readouterr().err
     assert (out / "gsa" / "sobol.json").exists()
     assert not (out / "invert" / "posterior.json").exists()
+
+
+def test_stale_screening_keep_list_exits_2(tmp_path, capsys):
+    # gsa/sobol.json keeps a dimension that the config's space does not have
+    out = tmp_path / "o"
+    (out / "gsa").mkdir(parents=True)
+    (out / "gsa" / "sobol.json").write_text(json.dumps(
+        {"dim_names": ["T_A", "log_h_g", "log_hp"], "keep": [0, 2]}))
+    cfg = beam_config()
+    cfg["model"] = failing_model(tmp_path)
+    assert main(["invert", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "keep list" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_forward_builds_a_fresh_prior_surrogate_when_none_is_saved(tmp_path):
+    # the second run's out dir has no invert/surrogate.json to reuse for the prior bands
+    first, second = tmp_path / "r1", tmp_path / "r2"
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]},
+                      forward={"posterior_file": str(first / "invert" / "posterior.json")})
+    path = write_config(tmp_path, cfg)
+    assert main(["pipeline", "--config", path, "--out", str(first), "--compare-prior"]) == 0
+    assert main(["forward", "--config", path, "--out", str(second), "--compare-prior"]) == 0
+    assert not (second / "invert").exists()
+    bands = [(out / "forward" / "bands.csv").read_bytes() for out in (first, second)]
+    assert bands[0] == bands[1]
+    assert read_manifest(first)["stages"]["forward"]["model_evaluations"] == 25
+    assert read_manifest(second)["stages"]["forward"]["model_evaluations"] == 50
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("stage, key, value, named, command", [
+    ("forward", "kde_grdi", 256, "kde_grdi", "forward"),
+    ("forward", "kde_grid", 256.0, "forward.kde_grid", "forward"),
+    ("forward", "qoi_outputs", ["eps_999"], "forward.qoi_outputs", "forward"),
+    ("forward", None, [1], "'forward'", "forward"),
+    ("inversion", "target", DELETE, "'target'", "invert"),
+    ("inversion", "data_file", "missing.json", "inversion.data_file", "invert"),
+    ("inversion", "n_starts", "16", "inversion.n_starts", "invert"),
+    ("gsa", "w", "1", "gsa.w", "gsa"),
+    ("inversion", "fixed_values", {"log_h_gg": -2.0}, "'log_h_gg'", "invert"),
+    ("inversion", "fixed_values", {"log_h_g": "-2"}, "inversion.fixed_values.log_h_g",
+     "invert"),
+    ("inversion", "n_starts", 2, "inversion.n_starts", "invert"),
+    ("inversion", "profile_grid", 10, "inversion.profile_grid", "invert"),
+    ("forward", "kind", "tri", "forward.kind", "forward"),
+    ("forward", "n_samples", 0, "forward.n_samples", "forward"),
+    ("gsa", "threshold", 2.0, "gsa.threshold", "gsa"),
+    ("inversion", "noise_std", -0.01, "inversion.noise_std", "invert"),
+], ids=["kde_grid_typo", "kde_grid_float", "unknown_qoi", "forward_not_object",
+        "no_target_no_data", "missing_data_file", "n_starts_string", "gsa_w_string",
+        "fixed_value_typo", "fixed_value_string", "n_starts_2", "profile_grid_10",
+        "kind_tri", "forward_n_samples_0", "threshold_2", "negative_noise"])
+def test_config_error_exits_2_before_any_solver_run(tmp_path, capsys, stage, key, value,
+                                                    named, command):
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
+    cfg["model"] = failing_model(tmp_path)
+    if key is None:
+        cfg[stage] = value
+    elif value is DELETE:
+        del cfg[stage][key]
+    else:
+        cfg[stage][key] = str(tmp_path / value) if key == "data_file" else value
+    path = write_config(tmp_path, cfg)
+    single = [command] + (["--prior-only"] if command == "forward" else [])
+    for argv in (["pipeline"], single):
+        assert main(argv + ["--config", path, "--out", str(tmp_path / "o")]) == 2, argv
+        assert named in capsys.readouterr().err, argv
+        assert not (tmp_path / "w").exists(), argv

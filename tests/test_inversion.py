@@ -92,6 +92,17 @@ def test_measurements_validation_and_json():
         Measurements(values=[1.0], location_ids=(0,), noise_std=0.0)
 
 
+def test_measurement_ids_are_non_negative_integers():
+    # int() used to turn 1.5 into 1 and True into 1, and -1 then read the last output
+    with pytest.raises(TypeError):
+        Measurements(values=[1.0, 2.0], location_ids=(1.5, 0), noise_std=1.0)
+    for bad in (-1, True):
+        with pytest.raises(ValueError, match="location ids"):
+            Measurements(values=[1.0, 2.0], location_ids=(0, bad), noise_std=1.0)
+    m = Measurements(values=[1.0], location_ids=(np.int64(2),), noise_std=1.0)
+    assert m.location_ids == (2,) and type(m.location_ids[0]) is int
+
+
 def test_synthesize_is_deterministic():
     a = synthesize_data(beam_displacements, VBAR, range(9), SIGMA, 42)
     b = synthesize_data(beam_displacements, VBAR, range(9), SIGMA, 42)
