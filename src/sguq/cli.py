@@ -147,6 +147,9 @@ def _load_config(path: str, command: str) -> Config:
     _require(target is None or isinstance(target, list) and all(map(_is_number, target)),
              "inversion.target", "a list of numbers", target)
     _require(0 < gsa["threshold"] < 1, "gsa.threshold", "in (0, 1)", gsa["threshold"])
+    _require(inv["chi2_threshold"] > 0, "inversion.chi2_threshold", "> 0", inv["chi2_threshold"])
+    _require(0 < inv["flat_fraction"] < 1, "inversion.flat_fraction", "in (0, 1)",
+             inv["flat_fraction"])
     _require(noise is None or _is_number(noise) and noise > 0, "inversion.noise_std",
              "a number > 0", noise)
     _require(fixed is None or isinstance(fixed, dict), "inversion.fixed_values", "an object", fixed)
@@ -455,6 +458,9 @@ def run_forward(config: Config, out: Path, validate: bool = False,
                               "(run the inversion stage or pass --prior-only)")
         with open(posterior_file) as fh:
             posterior = PosteriorSpec.from_json_dict(json.load(fh))
+        _require(all(n in config.space.names for n in posterior.names),
+                 f"the names of {posterior_file}", f"dimensions in {list(config.space.names)}",
+                 list(posterior.names))
         fixed = _fixed_values(config, posterior.names)
 
     post_space = ParameterSpace.from_pairs(zip(posterior.names, posterior.marginals))

@@ -17,14 +17,17 @@ Both constructions are greedy, so the first m points of a longer sequence
 coincide bit-for-bit with a shorter one (nestedness).  The level-to-knots
 map is m(i) = 2i - 1: each level adds one mirrored pair.
 
-The inner argmax is solved by a dense candidate scan followed by bisection
-on the derivative of the log objective within the best bracket (value-based
-refinement such as golden section stalls near sqrt(machine eps) because the
-objective is locally flat; the derivative crosses zero steeply and resolves
-the maximizer to full precision).  Before every even step the existing point
-set is symmetric, so the objective is symmetric about the center; searching
-only the left half [a, center] is then equivalent to a global search with
-ties broken toward the smaller coordinate, and is numerically deterministic.
+The inner argmax needs no candidate scan.  The log objective is strictly
+concave between neighbouring existing points, so each such gap holds exactly
+one maximizer, where the derivative of the log objective falls from +inf to
+-inf.  Every gap is bisected on that derivative down to REFINE_TOL of the
+search width (value-based refinement such as golden section stalls near
+sqrt(machine eps) because the objective is locally flat; the derivative
+crosses zero steeply), and the gap root with the largest objective
+wins.  Before every even step the existing point set is symmetric, so the
+objective is symmetric about the center; searching only the left half
+[a, center] is then equivalent to a global search with ties broken toward the
+smaller coordinate, and is numerically deterministic.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ __all__ = [
     "symmetric_gaussian_leja",
 ]
 
-#: number of uniformly spaced candidates in the dense argmax scan
-SCAN_CANDIDATES = 100_001
 #: refinement target, as a fraction of the search width
 REFINE_TOL = 1e-13
 #: half-width of the standardized Gaussian search interval, in std units;
@@ -58,36 +59,27 @@ def level_to_knots(level: int) -> int:
     return 2 * level - 1
 
 
-def _argmax_scan_refine(logf, dlogf, lo: float, hi: float,
-                        n_candidates: int = SCAN_CANDIDATES) -> float:
-    """Dense scan of logf on [lo, hi], then derivative bisection in the bracket."""
-    cand = np.linspace(lo, hi, n_candidates)
-    values = logf(cand)
-    best = int(np.argmax(values))
-    blo = cand[max(best - 1, 0)]
-    bhi = cand[min(best + 1, n_candidates - 1)]
-    tol = REFINE_TOL * (hi - lo)
-    # logf is strictly concave between neighbouring existing points, and both
-    # ends of [lo, hi] lie at existing points (the Gaussian's far end at weight
-    # e^-100 instead), so the best candidate is bracketed by a sign change
-    if not dlogf(blo) > 0.0 > dlogf(bhi):
-        raise AssertionError(f"no derivative sign change brackets the argmax in [{blo}, {bhi}]")
-    a, b = blo, bhi
-    while (b - a) > tol:
+def _argmax_per_gap(logf, dlogf, edges: np.ndarray, tol: float) -> float:
+    """Maximizer of logf on [edges[0], edges[-1]], strictly concave on every gap.
+
+    Each gap between neighbouring edges is bisected on the sign of dlogf down to
+    width ``tol``, or to adjacent floats where ``tol`` is below their spacing
+    (a narrow interval far from zero).  An outer gap whose end is no existing
+    point converges to that end if dlogf is negative there, which is then the
+    maximizer on the gap.  The root with the largest logf wins, the leftmost on
+    a tie.
+    """
+    a, b = edges[:-1], edges[1:]
+    while True:
         m = 0.5 * (a + b)
+        active = (b - a > tol) & (a < m) & (m < b)
+        if not active.any():
+            break
         dm = dlogf(m)
-        if dm == 0.0:
-            return m
-        if dm > 0.0:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def _log_distance_product(cand: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # tiny offset guards log(0) at the existing points themselves
-    return np.sum(np.log(np.abs(cand[:, None] - points[None, :]) + 1e-300), axis=1)
+        a = np.where(active & (dm >= 0.0), m, a)
+        b = np.where(active & (dm <= 0.0), m, b)
+    roots = 0.5 * (a + b)
+    return float(roots[np.argmax(logf(roots))])
 
 
 class _GrowingSequence:
@@ -107,22 +99,19 @@ class _GrowingSequence:
 
     def _grow(self):
         pts = np.array(self._points)
+        # the Gaussian weight sqrt(rho(v)) contributes -v^2/4 to the log objective
+        w = 0.25 if self._weighted else 0.0
 
-        if self._weighted:
-            def logf(cand):
-                return -0.25 * cand ** 2 + _log_distance_product(cand, pts)
+        def logf(v):
+            return -w * v ** 2 + np.sum(np.log(np.abs(v[:, None] - pts)), axis=1)
 
-            def dlogf(v):
-                return -0.5 * v + float(np.sum(1.0 / (v - pts)))
-        else:
-            def logf(cand):
-                return _log_distance_product(cand, pts)
+        def dlogf(v):
+            return -2.0 * w * v + np.sum(1.0 / (v[:, None] - pts), axis=1)
 
-            def dlogf(v):
-                return float(np.sum(1.0 / (v - pts)))
-
-        # point set is symmetric here; the left half holds a global maximizer
-        new = _argmax_scan_refine(logf, dlogf, self._lo, self._center)
+        # point set is symmetric here; the left half holds a global maximizer, and
+        # the existing points in it cut it into gaps of one local maximizer each
+        edges = np.unique(np.append(pts[pts < self._center], [self._lo, self._center]))
+        new = _argmax_per_gap(logf, dlogf, edges, REFINE_TOL * (self._center - self._lo))
         self._points.append(new)
         self._points.append(self._center - (new - self._center))
 

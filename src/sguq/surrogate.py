@@ -36,7 +36,8 @@ from .indices import (
     index_set_to_json_dict,
     is_downward_closed,
 )
-from .knots import GaussianLeja, UniformLeja, knots_for_level, level_to_knots
+from .knots import (GAUSSIAN_SEARCH_HALFWIDTH, REFINE_TOL, GaussianLeja, UniformLeja,
+                    knots_for_level, level_to_knots)
 
 __all__ = [
     "Uniform",
@@ -58,6 +59,10 @@ __all__ = [
 
 #: two distinct knots closer than this (relative to the per-dim scale) are a bug
 DEDUP_RTOL = 1e-12
+#: serialized points may sit this far (relative to the per-dim scale) from the rebuilt
+#: grid's: knots are refined to REFINE_TOL of a search half-width of at most 20 stds,
+#: and two versions of the knot search agree to twice that
+POINT_RTOL = 2.0 * REFINE_TOL * GAUSSIAN_SEARCH_HALFWIDTH
 #: points per block in batch evaluation; bounds the (block x M) basis matrix
 EVAL_BLOCK_ROWS = 256
 
@@ -563,7 +568,8 @@ def surrogate_from_json_dict(data: dict) -> Surrogate:
     mset, _ = index_set_from_json_dict(data["index_set"])
     grid = build_sparse_grid(space, mset)
     points = np.array(data["points"], dtype=float)
-    if points.shape != grid.points.shape or not np.array_equal(points, grid.points):
+    if points.shape != grid.points.shape or not np.all(
+            np.abs(points - grid.points) <= POINT_RTOL * space.scales()):
         raise ValueError("serialized points do not match the rebuilt sparse grid")
     values = np.array(data["values"], dtype=float).T
     return Surrogate(grid=grid, values=values, output_names=tuple(data["output_names"]))

@@ -448,6 +448,22 @@ def test_stale_screening_keep_list_exits_2(tmp_path, capsys):
     assert not (tmp_path / "w").exists()
 
 
+def test_posterior_names_outside_the_space_exit_2_before_any_solver_run(tmp_path, capsys):
+    # a misspelt name would be sampled but never reach the model
+    posterior = {"names": ["T_A", "log_hp"],
+                 "marginals": [{"type": "gaussian", "mean": 1340.0, "std": 10.0},
+                               {"type": "uniform", "a": -5.0, "b": 0.0}],
+                 "classification": ["identifiable", "weakly_identifiable"],
+                 "prior_box": [[1130.0, 1450.0], [-5.0, 0.0]]}
+    (tmp_path / "posterior.json").write_text(json.dumps(posterior))
+    cfg = beam_config(forward={"posterior_file": str(tmp_path / "posterior.json")})
+    cfg["model"] = failing_model(tmp_path)
+    assert main(["forward", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "log_hp" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 def test_forward_builds_a_fresh_prior_surrogate_when_none_is_saved(tmp_path):
     # the second run's out dir has no invert/surrogate.json to reuse for the prior bands
     first, second = tmp_path / "r1", tmp_path / "r2"
@@ -484,10 +500,15 @@ DELETE = object()
     ("forward", "n_samples", 0, "forward.n_samples", "forward"),
     ("gsa", "threshold", 2.0, "gsa.threshold", "gsa"),
     ("inversion", "noise_std", -0.01, "inversion.noise_std", "invert"),
+    ("inversion", "chi2_threshold", -1, "inversion.chi2_threshold", "invert"),
+    ("inversion", "chi2_threshold", 0, "inversion.chi2_threshold", "invert"),
+    ("inversion", "flat_fraction", 2.0, "inversion.flat_fraction", "invert"),
+    ("inversion", "flat_fraction", 0.0, "inversion.flat_fraction", "invert"),
 ], ids=["kde_grid_typo", "kde_grid_float", "unknown_qoi", "forward_not_object",
         "no_target_no_data", "missing_data_file", "n_starts_string", "gsa_w_string",
         "fixed_value_typo", "fixed_value_string", "n_starts_2", "profile_grid_10",
-        "kind_tri", "forward_n_samples_0", "threshold_2", "negative_noise"])
+        "kind_tri", "forward_n_samples_0", "threshold_2", "negative_noise",
+        "chi2_threshold_-1", "chi2_threshold_0", "flat_fraction_2", "flat_fraction_0"])
 def test_config_error_exits_2_before_any_solver_run(tmp_path, capsys, stage, key, value,
                                                     named, command):
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})

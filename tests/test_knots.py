@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sguq.knots import (
+    REFINE_TOL,
     GaussianLeja,
     UniformLeja,
     knots_for_level,
@@ -13,7 +14,7 @@ from sguq.knots import (
 # ---------------------------------------------------------------------------
 # independent argmax oracle: dense million-point scan plus bisection on the
 # derivative of the log objective (a different algorithm from the library's
-# golden-section refinement)
+# bisection of every gap between existing points)
 # ---------------------------------------------------------------------------
 
 
@@ -48,21 +49,50 @@ def _oracle_argmax(points, lo, hi, weighted=False, n_cand=1_000_001):
     return 0.5 * (a + b)
 
 
-def oracle_symmetric_leja(n, lo, hi):
+def _scan_refine_argmax(points, lo, hi, weighted=False, n_cand=100_001):
+    # the library's former argmax: a 100001-point scan, then derivative bisection
+    # in the bracket of the best candidate down to REFINE_TOL of the search width
+    pts = np.asarray(points, dtype=float)
+
+    def logf(v):
+        return (-0.25 * v ** 2 if weighted else 0.0) + np.sum(
+            np.log(np.abs(v[:, None] - pts[None, :]) + 1e-300), axis=1)
+
+    def dlogf(v):
+        return (-0.5 * v if weighted else 0.0) + float(np.sum(1.0 / (v - pts)))
+
+    cand = np.linspace(lo, hi, n_cand)
+    best = int(np.argmax(logf(cand)))
+    a = cand[max(best - 1, 0)]
+    b = cand[min(best + 1, n_cand - 1)]
+    assert dlogf(a) > 0.0 > dlogf(b)
+    while (b - a) > REFINE_TOL * (hi - lo):
+        m = 0.5 * (a + b)
+        dm = dlogf(m)
+        if dm == 0.0:
+            return m
+        if dm > 0.0:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def oracle_symmetric_leja(n, lo, hi, argmax=_oracle_argmax):
     pts = [hi, lo, 0.5 * (lo + hi)]
     mid = 0.5 * (lo + hi)
     while len(pts) < n:
-        new = _oracle_argmax(pts, lo, mid)
+        new = argmax(pts, lo, mid)
         pts.append(new)
         if len(pts) < n:
             pts.append(mid - (new - mid))
     return np.array(pts[:n])
 
 
-def oracle_symmetric_gaussian_leja(n):
+def oracle_symmetric_gaussian_leja(n, argmax=_oracle_argmax):
     pts = [0.0]
     while len(pts) < n:
-        new = _oracle_argmax(pts, -20.0, 0.0, weighted=True)
+        new = argmax(pts, -20.0, 0.0, weighted=True)
         pts.append(new)
         if len(pts) < n:
             pts.append(-new)
@@ -91,6 +121,31 @@ def test_gaussian_oracle_match_to_1e8():
     lib = symmetric_gaussian_leja(9)
     ora = oracle_symmetric_gaussian_leja(9)
     assert np.max(np.abs(lib - ora)) < 1e-8
+
+
+@pytest.mark.parametrize("interval", [(1130.0, 1450.0), (-5.0, 0.0), (-5.0, -1.4), (0.0, 1.0),
+                                      (-1.0, 1.0), (2.0, 3.5), (1e-3, 2e-3), (-100.0, 250.0),
+                                      None], ids=lambda iv: "gaussian" if iv is None else str(iv))
+def test_41_points_agree_with_the_former_scan(interval):
+    # both refine to REFINE_TOL of the search half-width, so they agree to twice that
+    if interval is None:
+        lib = symmetric_gaussian_leja(41)
+        ora = oracle_symmetric_gaussian_leja(41, argmax=_scan_refine_argmax)
+        half_width = 20.0
+    else:
+        lib = symmetric_leja(41, *interval)
+        ora = oracle_symmetric_leja(41, *interval, argmax=_scan_refine_argmax)
+        half_width = 0.5 * (interval[1] - interval[0])
+    assert np.max(np.abs(lib - ora)) <= 2.0 * REFINE_TOL * half_width
+
+
+@pytest.mark.parametrize("a, b", [(1000.0, 1002.0), (1e6, 1e6 + 1.0), (1450.0, 1450.001)])
+def test_narrow_interval_far_from_zero_is_the_affine_image(a, b):
+    # REFINE_TOL of these widths is below the float spacing at a and b, so the
+    # bisection has to stop at adjacent floats instead
+    pts = symmetric_leja(15, a, b)
+    ref = 0.5 * (a + b) + 0.5 * (b - a) * symmetric_leja(15, -1.0, 1.0)
+    assert np.max(np.abs(pts - ref)) <= 4.0 * np.spacing(b)
 
 
 def test_gaussian_first_point_is_density_peak():

@@ -7,6 +7,7 @@ import pytest
 from sguq.indices import generate_index_set
 from sguq.models import beam_proxy, ishigami
 from sguq.surrogate import (
+    POINT_RTOL,
     ExtrapolationWarning,
     Gaussian,
     ParameterSpace,
@@ -434,6 +435,15 @@ def test_surrogate_json_round_trip_is_exact():
     assert back.output_names == sur.output_names
     v = np.array([3.1, -2.0])
     assert back.evaluate(v).tolist() == sur.evaluate(v).tolist()
+
+
+def test_surrogate_json_with_a_moved_point_is_rejected():
+    space = ParameterSpace.from_pairs([("t", Gaussian(3.0, 0.5)), ("x", Uniform(-5, 0))])
+    grid = build_sparse_grid(space, generate_index_set("sum", 2, 2))
+    data = surrogate_to_json_dict(Surrogate.from_model(grid, lambda p: p[:, :1]))
+    data["points"][3][1] += 10 * POINT_RTOL * 5.0
+    with pytest.raises(ValueError, match="rebuilt sparse grid"):
+        surrogate_from_json_dict(data)
 
 
 def test_surrogate_json_from_version_0_1_loads_and_evaluates():
