@@ -19,7 +19,7 @@
 # %%
 import numpy as np
 
-from sguq import GaussianLeja, UniformLeja, knots_for_level
+from sguq import Gaussian, Uniform, knots_for_level
 
 # %% [markdown]
 # ## Symmetric Leja points on an interval
@@ -28,7 +28,7 @@ from sguq import GaussianLeja, UniformLeja, knots_for_level
 # are generated in mirror pairs about the center.
 
 # %%
-family = UniformLeja(-1.0, 1.0)
+family = Uniform(-1.0, 1.0)
 for level in range(1, 6):
     pts = knots_for_level(family, level)
     print(f"level {level} ({len(pts)} points):", np.round(np.sort(pts), 6))
@@ -48,7 +48,7 @@ print("level-3 points are a prefix of level-4:", np.array_equal(p4[:len(p3)], p3
 # The first pair lands exactly at +-sqrt(2) standard deviations.
 
 # %%
-gauss = GaussianLeja(mean=0.0, std=1.0)
+gauss = Gaussian(mean=0.0, std=1.0)
 pts = knots_for_level(gauss, 3)
 print("standardized points:", np.round(pts, 6))
 print("second pair vs sqrt(2):", np.round(np.abs(pts[1]), 12), np.round(np.sqrt(2), 12))
@@ -58,7 +58,7 @@ print("second pair vs sqrt(2):", np.round(np.abs(pts[1]), 12), np.round(np.sqrt(
 # standardized sequence, so one expensive computation serves every Gaussian.
 
 # %%
-shifted = knots_for_level(GaussianLeja(mean=1341.0, std=13.0), 3)
+shifted = knots_for_level(Gaussian(mean=1341.0, std=13.0), 3)
 print("for N(1341, 13^2):", np.round(shifted, 3))
 
 # %% [markdown]
@@ -71,8 +71,8 @@ except ImportError:
     plt = None
 if plt is not None:
     fig, ax = plt.subplots(figsize=(7, 2.2))
-    u = knots_for_level(UniformLeja(-1, 1), 5)
-    g = knots_for_level(GaussianLeja(0, 0.33), 5)
+    u = knots_for_level(Uniform(-1, 1), 5)
+    g = knots_for_level(Gaussian(0, 0.33), 5)
     ax.plot(u, np.zeros_like(u), "o", label="interval Leja")
     ax.plot(g, np.ones_like(g), "s", label="Gaussian Leja")
     ax.set_yticks([0, 1], ["uniform", "gaussian"])

@@ -16,8 +16,6 @@ from .indices import (
     is_downward_closed,
 )
 from .knots import (
-    GaussianLeja,
-    UniformLeja,
     knots_for_level,
     level_to_knots,
     symmetric_gaussian_leja,

@@ -1,14 +1,15 @@
 """Nested univariate collocation sequences: symmetric Leja points.
 
-Two families are provided, matched to the parameter's distribution:
+Two families are provided, one per parameter distribution; ``surrogate.Uniform``
+and ``surrogate.Gaussian`` each pick theirs in ``points(n)``:
 
-* ``UniformLeja(a, b)``: symmetric Leja points on an interval.  The first
-  three points are b, a, (a+b)/2; afterwards even-position points maximize
-  the distance product prod |v - v_k| over [a, b] and each odd-position
-  point mirrors the preceding one about the midpoint.
+* ``symmetric_leja(n, a, b)``: symmetric Leja points on an interval.  The
+  first three points are b, a, (a+b)/2; afterwards even-position points
+  maximize the distance product prod |v - v_k| over [a, b] and each
+  odd-position point mirrors the preceding one about the midpoint.
 
-* ``GaussianLeja(mean, std)``: weighted symmetric Leja points for a Gaussian
-  density.  Computed once on the standard normal by maximizing
+* ``symmetric_gaussian_leja(n, mean, std)``: weighted symmetric Leja points
+  for a Gaussian density.  Computed once on the standard normal by maximizing
   sqrt(rho(v)) * prod |v - v_k|, then mapped affinely by v -> mean + std * v.
   The first point is the density peak; even/odd positions alternate between
   weighted maximization and mirroring about the mean.
@@ -32,13 +33,9 @@ smaller coordinate, and is numerically deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "UniformLeja",
-    "GaussianLeja",
     "level_to_knots",
     "knots_for_level",
     "symmetric_leja",
@@ -160,52 +157,10 @@ def symmetric_gaussian_leja(n: int, mean: float = 0.0, std: float = 1.0) -> np.n
     return mean + std * _gaussian_sequence().prefix(n)
 
 
-@dataclass(frozen=True)
-class UniformLeja:
-    """Symmetric Leja family on [a, b] for a uniform parameter."""
+def knots_for_level(dist, level: int) -> np.ndarray:
+    """First m(level) = 2*level - 1 knots of a distribution; nested across levels.
 
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.a + self.b)
-
-    @property
-    def scale(self) -> float:
-        return self.b - self.a
-
-    def points(self, n: int) -> np.ndarray:
-        return symmetric_leja(n, self.a, self.b)
-
-
-@dataclass(frozen=True)
-class GaussianLeja:
-    """Symmetric weighted Leja family for a Gaussian parameter."""
-
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if self.std <= 0:
-            raise ValueError(f"standard deviation must be > 0, got {self.std}")
-
-    @property
-    def center(self) -> float:
-        return self.mean
-
-    @property
-    def scale(self) -> float:
-        return self.std
-
-    def points(self, n: int) -> np.ndarray:
-        return symmetric_gaussian_leja(n, self.mean, self.std)
-
-
-def knots_for_level(family, level: int) -> np.ndarray:
-    """First m(level) = 2*level - 1 points of the family; nested across levels."""
-    return family.points(level_to_knots(level))
+    ``dist`` is a ``surrogate.Uniform`` or ``surrogate.Gaussian``, whose
+    ``points(n)`` picks its family.
+    """
+    return dist.points(level_to_knots(level))

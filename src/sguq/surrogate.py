@@ -36,8 +36,8 @@ from .indices import (
     index_set_to_json_dict,
     is_downward_closed,
 )
-from .knots import (GAUSSIAN_SEARCH_HALFWIDTH, REFINE_TOL, GaussianLeja, UniformLeja,
-                    knots_for_level, level_to_knots)
+from .knots import (GAUSSIAN_SEARCH_HALFWIDTH, REFINE_TOL, knots_for_level, level_to_knots,
+                    symmetric_gaussian_leja, symmetric_leja)
 
 __all__ = [
     "Uniform",
@@ -73,6 +73,8 @@ class ExtrapolationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Uniform:
+    """Uniform parameter on [a, b]; its knots are symmetric Leja points."""
+
     a: float
     b: float
 
@@ -80,15 +82,39 @@ class Uniform:
         if not self.a < self.b:
             raise ValueError(f"uniform range requires a < b, got [{self.a}, {self.b}]")
 
+    @property
+    def center(self) -> float:
+        return 0.5 * (self.a + self.b)
+
+    @property
+    def scale(self) -> float:
+        return self.b - self.a
+
+    def points(self, n: int) -> np.ndarray:
+        return symmetric_leja(n, self.a, self.b)
+
 
 @dataclass(frozen=True)
 class Gaussian:
+    """Gaussian parameter N(mean, std^2); its knots are weighted symmetric Leja points."""
+
     mean: float
     std: float
 
     def __post_init__(self):
         if self.std <= 0:
             raise ValueError(f"gaussian std must be > 0, got {self.std}")
+
+    @property
+    def center(self) -> float:
+        return self.mean
+
+    @property
+    def scale(self) -> float:
+        return self.std
+
+    def points(self, n: int) -> np.ndarray:
+        return symmetric_gaussian_leja(n, self.mean, self.std)
 
 
 @dataclass(frozen=True)
@@ -120,12 +146,6 @@ class ParameterSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.dims)
 
-    def knot_family(self, n: int):
-        dist = self.dims[n].dist
-        if isinstance(dist, Uniform):
-            return UniformLeja(dist.a, dist.b)
-        return GaussianLeja(dist.mean, dist.std)
-
     def is_all_uniform(self) -> bool:
         return all(isinstance(d.dist, Uniform) for d in self.dims)
 
@@ -137,10 +157,7 @@ class ParameterSpace:
 
     def scales(self) -> np.ndarray:
         """Per-dim length scale: interval width or std."""
-        return np.array([
-            (d.dist.b - d.dist.a) if isinstance(d.dist, Uniform) else d.dist.std
-            for d in self.dims
-        ])
+        return np.array([d.dist.scale for d in self.dims])
 
 
 @dataclass(frozen=True)
@@ -204,10 +221,9 @@ def build_sparse_grid(space: ParameterSpace, mset: MultiIndexSet) -> SparseGrid:
     if not is_downward_closed(mset.indices):
         raise ValueError("index set is not downward closed")
     coeffs = combination_coefficients(mset)
-    families = [space.knot_family(n) for n in range(space.n_dims)]
     top = np.max(mset.indices, axis=0)
     # nested sequences: every grid's knots are prefixes of these, bit for bit
-    sequences = [knots_for_level(families[n], int(top[n])) for n in range(space.n_dims)]
+    sequences = [knots_for_level(d.dist, int(t)) for d, t in zip(space.dims, top)]
     _assert_separated(sequences, space.scales())
 
     grids = [TensorGrid(index=idx, knots=tuple(seq[:level_to_knots(i)]
@@ -283,8 +299,8 @@ def _basis_tables(dists, X: np.ndarray, degree: int, derivatives: int = 0) -> np
     """
     k = np.arange(1, degree + 1, dtype=float)
     uniform = [isinstance(d, Uniform) for d in dists]
-    center = np.array([0.5 * (d.a + d.b) if u else d.mean for d, u in zip(dists, uniform)])
-    half = np.array([0.5 * (d.b - d.a) if u else d.std for d, u in zip(dists, uniform)])
+    center = np.array([d.center for d in dists])
+    half = np.array([0.5 * d.scale if u else d.scale for d, u in zip(dists, uniform)])
     b = np.array([k / np.sqrt(4 * k * k - 1) if u else np.sqrt(k) for u in uniform])
     t = (np.asarray(X, dtype=float) - center) / half
     out = np.zeros((derivatives + 1,) + t.shape + (degree + 1,))
@@ -450,11 +466,9 @@ def detail_decomposition_check(space: ParameterSpace, mset: MultiIndexSet, f,
     """
     if mset.dim != space.n_dims:
         raise ValueError("index set and space dimensions differ")
-    families = [space.knot_family(n) for n in range(space.n_dims)]
-
     interpolants: dict[tuple[int, ...], tuple[TensorGrid, np.ndarray]] = {}
     for idx in mset.indices:
-        knots = tuple(knots_for_level(families[n], idx[n]) for n in range(space.n_dims))
+        knots = tuple(knots_for_level(d.dist, i) for d, i in zip(space.dims, idx))
         grid = TensorGrid(index=idx, knots=knots)
         fv = np.asarray(f(grid.points()), dtype=float).reshape(grid.n_points)
         interpolants[idx] = (grid, fv)

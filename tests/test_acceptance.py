@@ -24,7 +24,7 @@ from sguq.inversion import (
     sigma_map,
     synthesize_data,
 )
-from sguq.knots import GaussianLeja, UniformLeja, knots_for_level, symmetric_gaussian_leja, symmetric_leja
+from sguq.knots import knots_for_level, symmetric_gaussian_leja, symmetric_leja
 from sguq.models import beam_proxy, ishigami, ISHIGAMI_A, ISHIGAMI_B
 from sguq.sobol import sobol_indices
 from sguq.surrogate import (
@@ -96,7 +96,7 @@ def test_criterion_2_grid_size_golden():
     grid = build_sparse_grid(space, generate_index_set("max", 3, 1))
     assert grid.n_points == 27
     a, b = -2.0, 6.0
-    assert knots_for_level(UniformLeja(a, b), 2).tolist() == [b, a, (a + b) / 2]
+    assert knots_for_level(Uniform(a, b), 2).tolist() == [b, a, (a + b) / 2]
     elapsed = report(2, "27-point screening grid and 3-point level-2 knots", t0)
     assert elapsed < 1.0
 
@@ -155,13 +155,13 @@ def test_criterion_5_leja_oracle_nestedness_symmetry():
     assert np.max(np.abs(lib_u - oracle_symmetric_leja(9, -1.0, 1.0))) < 1e-8
     lib_g = symmetric_gaussian_leja(9)
     assert np.max(np.abs(lib_g - oracle_symmetric_gaussian_leja(9))) < 1e-8
-    for family in (UniformLeja(-1.0, 1.0), GaussianLeja(0.0, 1.0)):
+    for family in (Uniform(-1.0, 1.0), Gaussian(0.0, 1.0)):
         for level in range(1, 5):
             small = knots_for_level(family, level)
             big = knots_for_level(family, level + 1)
             assert np.array_equal(big[: len(small)], small)
         pts = knots_for_level(family, 5)
-        start = 3 if isinstance(family, UniformLeja) else 1
+        start = 3 if isinstance(family, Uniform) else 1
         for k in range(start, len(pts) - 1, 2):
             assert pts[k + 1] == pytest.approx(2.0 * family.center - pts[k],
                                                abs=1e-12 * family.scale)

@@ -3,13 +3,12 @@ import pytest
 
 from sguq.knots import (
     REFINE_TOL,
-    GaussianLeja,
-    UniformLeja,
     knots_for_level,
     level_to_knots,
     symmetric_gaussian_leja,
     symmetric_leja,
 )
+from sguq.surrogate import Gaussian, Uniform
 
 # ---------------------------------------------------------------------------
 # independent argmax oracle: dense million-point scan plus bisection on the
@@ -168,8 +167,8 @@ def test_gaussian_affine_equivariance_is_exact():
     assert np.array_equal(mapped, 4.2 + 0.37 * base)
 
 
-@pytest.mark.parametrize("family", [UniformLeja(-1.0, 1.0), UniformLeja(0.25, 9.5),
-                                    GaussianLeja(0.0, 1.0), GaussianLeja(-2.0, 0.5)])
+@pytest.mark.parametrize("family", [Uniform(-1.0, 1.0), Uniform(0.25, 9.5),
+                                    Gaussian(0.0, 1.0), Gaussian(-2.0, 0.5)])
 def test_nestedness_through_level_6(family):
     for level in range(1, 6):
         small = knots_for_level(family, level)
@@ -178,11 +177,11 @@ def test_nestedness_through_level_6(family):
         assert len(big) == len(small) + 2
 
 
-@pytest.mark.parametrize("family", [UniformLeja(-3.0, 5.0), GaussianLeja(1.0, 2.0)])
+@pytest.mark.parametrize("family", [Uniform(-3.0, 5.0), Gaussian(1.0, 2.0)])
 def test_mirror_pairing(family):
     pts = family.points(11)
     center = family.center
-    start = 3 if isinstance(family, UniformLeja) else 1
+    start = 3 if isinstance(family, Uniform) else 1
     for k in range(start, 10, 2):
         assert pts[k + 1] == pytest.approx(2.0 * center - pts[k], abs=1e-12 * family.scale)
 
@@ -218,7 +217,7 @@ def test_greedy_optimality_on_dense_grid(weighted):
 
 
 def test_knots_for_level_examples():
-    fam = UniformLeja(0.0, 1.0)
+    fam = Uniform(0.0, 1.0)
     assert knots_for_level(fam, 1).tolist() == [1.0]
     assert knots_for_level(fam, 2).tolist() == [1.0, 0.0, 0.5]
     with pytest.raises(ValueError):
@@ -233,6 +232,6 @@ def test_rejections():
     with pytest.raises(ValueError):
         symmetric_gaussian_leja(3, 0.0, 0.0)
     with pytest.raises(ValueError):
-        UniformLeja(2.0, -2.0)
+        Uniform(2.0, -2.0)
     with pytest.raises(ValueError):
-        GaussianLeja(0.0, -1.0)
+        Gaussian(0.0, -1.0)

@@ -91,8 +91,7 @@ def test_grid_points_are_distinct():
 
 
 def make_tensor_grid(space, index):
-    families = [space.knot_family(n) for n in range(space.n_dims)]
-    knots = tuple(f.points(2 * i - 1) for f, i in zip(families, index))
+    knots = tuple(d.dist.points(2 * i - 1) for d, i in zip(space.dims, index))
     return TensorGrid(index=tuple(index), knots=knots)
 
 
