@@ -31,10 +31,8 @@ from .surrogate import (
     TensorGrid,
     Uniform,
     build_sparse_grid,
-    detail_decomposition_check,
     surrogate_from_json_dict,
     surrogate_to_json_dict,
-    tensor_interpolate,
     validation_errors,
 )
 from .sobol import SobolResult, rank_parameters, sobol_indices

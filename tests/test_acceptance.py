@@ -34,10 +34,10 @@ from sguq.surrogate import (
     Surrogate,
     Uniform,
     build_sparse_grid,
-    detail_decomposition_check,
     validation_errors,
 )
 
+from lagrange_reference import detail_decomposition_check
 from test_knots import oracle_symmetric_gaussian_leja, oracle_symmetric_leja
 
 VBAR = np.array([1339.8, -3.75])

@@ -12,16 +12,15 @@ from sguq.surrogate import (
     Gaussian,
     ParameterSpace,
     Surrogate,
-    TensorGrid,
     Uniform,
     _basis_tables,
     build_sparse_grid,
-    detail_decomposition_check,
     surrogate_from_json_dict,
     surrogate_to_json_dict,
-    tensor_interpolate,
     validation_errors,
 )
+
+from lagrange_reference import TensorGrid, detail_decomposition_check, tensor_interpolate
 
 
 def uniform_space(bounds):
