@@ -36,8 +36,8 @@ from .forward import (
 from .indices import KINDS, generate_index_set
 from .inversion import (
     MIN_PROFILE_GRID, MIN_STARTS, InversionError, Measurements, PosteriorSpec,
-    build_posterior, find_map, laplace_covariance, profile_likelihood, sigma_map,
-    synthesize_data, write_inversion_report,
+    build_posterior, find_map, inversion_report_json_dict, laplace_covariance,
+    profile_likelihood, sigma_map, synthesize_data,
 )
 from .models import ExternalModel, ExternalModelError, register_builtin
 from .sobol import rank_parameters, sobol_indices, sobol_result_to_json_dict
@@ -62,7 +62,7 @@ STAGE_OPTIONS = {
                   "noise_std": None, "measurement_outputs": None},
     "forward": {"kind": "sum", "w": 3, "n_samples": 10000, "seed": 0, "kde_grid": 512,
                 "validation_samples": 50, "validation_seed": 0,
-                "posterior_file": None, "prior_surrogate_file": None, "qoi_outputs": None},
+                "posterior_file": None, "qoi_outputs": None},
 }
 #: integer options whose lower bound is not 0
 MIN_VALUES = {"inversion.n_starts": MIN_STARTS, "inversion.profile_grid": MIN_PROFILE_GRID,
@@ -176,7 +176,7 @@ def _fixed_values(config: Config, kept) -> dict:
         if d.name not in kept:
             if not isinstance(d.dist, Uniform):
                 raise ConfigError(f"cannot fix non-uniform dimension {d.name!r}")
-            fixed[d.name] = configured.get(d.name, 0.5 * (d.dist.a + d.dist.b))
+            fixed[d.name] = configured.get(d.name, d.dist.center)
     return fixed
 
 
@@ -264,42 +264,49 @@ def _output_ids(handle, names_or_ids, group: str, key: str):
     return ids
 
 
-def _read_data_file(path: str, handle) -> Measurements:
-    """Measurements in ``inversion.data_file``; their ids pass the configured-output check."""
+def _read_json_file(path, what: str, parse):
+    """``parse`` of the JSON in ``path``; an unreadable or invalid file is a ConfigError."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read inversion.data_file {path}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("location_ids") is None:
-        raise ConfigError(f"inversion.data_file {path} has no 'location_ids'")
-    ids = _output_ids(handle, data["location_ids"], "displacement",
-                      "inversion.data_file location_ids")
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        return Measurements.from_json_dict({**data, "location_ids": ids})
+        return parse(data)
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid inversion.data_file {path}: {exc!r}") from exc
+        raise ConfigError(f"invalid {what} {path}: {exc!r}") from exc
 
 
-def _build_stage_surrogate(space, kind, w, model: StageModel, output_names):
+def _read_data_file(path: str, handle) -> Measurements:
+    """Measurements in ``inversion.data_file``; their ids pass the configured-output check."""
+    def parse(data):
+        if not isinstance(data, dict) or data.get("location_ids") is None:
+            raise ConfigError(f"inversion.data_file {path} has no 'location_ids'")
+        ids = _output_ids(handle, data["location_ids"], "displacement",
+                          "inversion.data_file location_ids")
+        return Measurements.from_json_dict({**data, "location_ids": ids})
+
+    return _read_json_file(path, "inversion.data_file", parse)
+
+
+def _build_stage_surrogate(space, kind, w, model: StageModel, ids):
+    """Surrogate of the outputs ``ids`` on the stage's grid."""
     grid = build_sparse_grid(space, generate_index_set(kind, space.n_dims, w))
-    return Surrogate.from_model(grid, model, output_names=output_names)
-
-
-def _slice_outputs(surrogate: Surrogate, ids, names) -> Surrogate:
-    return Surrogate(grid=surrogate.grid, values=surrogate.values[:, ids],
-                     output_names=tuple(names))
+    names = model.handle.output_names
+    return Surrogate.from_model(grid, lambda points: model(points)[:, ids],
+                                output_names=[names[i] for i in ids])
 
 
 def _validation_table(space, opts: dict, model: StageModel, ids, samples) -> dict:
     """Validation errors of the selected outputs at every level budget w = 0..opts["w"]."""
-    output_names = model.handle.output_names
-    names = [output_names[i] for i in ids]
+    names = [model.handle.output_names[i] for i in ids]
     ref = model(samples)[:, ids]
     per_output = {n: {"e_ppe": [], "e_mse": []} for n in names}
     for w in range(opts["w"] + 1):
-        sub_full = _build_stage_surrogate(space, opts["kind"], w, model, output_names)
-        err = validation_errors(_slice_outputs(sub_full, ids, names), ref, samples)
+        sub = _build_stage_surrogate(space, opts["kind"], w, model, ids)
+        err = validation_errors(sub, ref, samples)
         for j, n in enumerate(names):
             per_output[n]["e_ppe"].append(float(err.e_ppe[j]))
             per_output[n]["e_mse"].append(float(err.e_mse[j]))
@@ -338,7 +345,7 @@ def run_gsa(config: Config, out: Path) -> dict:
 
     _log(f"gsa: building {opts['kind']} grid, w={opts['w']}, {space.n_dims} dims")
     surrogate = _build_stage_surrogate(space, opts["kind"], opts["w"], model,
-                                       handle.output_names)
+                                       range(handle.n_outputs))
     _log(f"gsa: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
 
     result = sobol_indices(surrogate)
@@ -375,7 +382,6 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     _require(space.is_all_uniform(), "the inverted dimensions", "uniform", list(space.names))
     model = StageModel(handle, space, fixed=fixed)
     meas, target, data_evaluations = opts["data_file"], opts["target"], 0
-    meas_ids = opts["measurement_outputs"] if meas is None else list(meas.location_ids)
     if meas is None:
         _require(len(target) == space.n_dims, "inversion.target",
                  f"{space.n_dims} long, one value per inverted dimension", target)
@@ -385,7 +391,7 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
         # the data-generating run is bookkept separately from the grid budget
         target_model = StageModel(handle, space, fixed=fixed)
         meas = synthesize_data(target_model, np.asarray(target, dtype=float),
-                               meas_ids, opts["noise_std"], opts["seed"])
+                               opts["measurement_outputs"], opts["noise_std"], opts["seed"])
         data_evaluations = target_model.evaluations
     stage_dir = out / "invert"
     stage_dir.mkdir(parents=True, exist_ok=True)
@@ -393,7 +399,7 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     _log(f"invert: building {opts['kind']} grid, w={opts['w']}, dims {list(space.names)}"
          + (f", fixed {fixed}" if fixed else ""))
     surrogate = _build_stage_surrogate(space, opts["kind"], opts["w"], model,
-                                       handle.output_names)
+                                       range(handle.n_outputs))
     _write_json(stage_dir / "surrogate.json", surrogate_to_json_dict(surrogate))
     _log(f"invert: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
     _write_json(stage_dir / "measurements.json", meas.to_json_dict())
@@ -405,31 +411,24 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
         box = space.uniform_box()
         samples = box[0] + (box[1] - box[0]) * rng.random((opts["validation_samples"], space.n_dims))
         _write_json(stage_dir / "validation.json",
-                    _validation_table(space, opts, model, meas_ids, samples))
+                    _validation_table(space, opts, model, list(meas.location_ids), samples))
         files["validation"] = "invert/validation.json"
         _log(f"invert: validation at w=0..{opts['w']} done")
 
-    meas_surrogate = _slice_outputs(surrogate, meas_ids,
-                                    [handle.output_names[i] for i in meas_ids])
-    local_meas = Measurements(values=meas.values,
-                              location_ids=tuple(range(len(meas_ids))),
-                              noise_std=meas.noise_std, seed=meas.seed, target=meas.target)
-
     _log(f"invert: multi-start MAP search, {opts['n_starts']} starts")
-    map_result = find_map(meas_surrogate, local_meas, n_starts=opts["n_starts"],
-                          seed=opts["start_seed"])
+    map_result = find_map(surrogate, meas, n_starts=opts["n_starts"], seed=opts["start_seed"])
     _log(f"invert: {map_result.n_not_converged} of {map_result.n_starts} starts "
          "did not converge")
-    s2 = sigma_map(map_result.ls_min, local_meas.n)
-    cov = laplace_covariance(meas_surrogate, local_meas, map_result.v_map, s2)
-    profiles = [profile_likelihood(meas_surrogate, local_meas, n, map_result.v_map,
+    s2 = sigma_map(map_result.ls_min, meas.n)
+    cov = laplace_covariance(surrogate, meas, map_result.v_map, s2)
+    profiles = [profile_likelihood(surrogate, meas, n, map_result.v_map,
                                    grid_size=opts["profile_grid"])
                 for n in range(space.n_dims)]
     posterior = build_posterior(map_result, cov, profiles, space, s2,
                                 chi2_threshold=opts["chi2_threshold"],
                                 flat_fraction=opts["flat_fraction"])
-    write_inversion_report(stage_dir / "inversion.json", local_meas, map_result,
-                           s2, cov, profiles, posterior)
+    _write_json(stage_dir / "inversion.json",
+                inversion_report_json_dict(meas, map_result, s2, cov, profiles, posterior))
     _write_json(stage_dir / "posterior.json", posterior.to_json_dict())
     files["report"] = "invert/inversion.json"
     files["posterior"] = "invert/posterior.json"
@@ -441,39 +440,60 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
             "files": files}
 
 
+def _read_posterior(path: str, space: ParameterSpace) -> PosteriorSpec:
+    """The posterior spec in ``path``; its names must be dimensions of ``space``."""
+    if not Path(path).exists():
+        raise ConfigError(f"posterior spec not found: {path} "
+                          "(run the inversion stage or pass --prior-only)")
+    posterior = _read_json_file(path, "posterior spec", PosteriorSpec.from_json_dict)
+    _require(all(n in space.names for n in posterior.names),
+             f"the names of {path}", f"dimensions in {list(space.names)}", list(posterior.names))
+    return posterior
+
+
+def _read_prior_surrogate(path: Path, names) -> Surrogate:
+    """The inversion stage's surrogate in ``path``, cut down to the outputs ``names``."""
+    def parse(data):
+        full = surrogate_from_json_dict(data)
+        ids = [full.output_names.index(n) for n in names]
+        return Surrogate(grid=full.grid, values=full.values[:, ids], output_names=tuple(names))
+
+    return _read_json_file(path, "prior surrogate", parse)
+
+
 def run_forward(config: Config, out: Path, validate: bool = False,
                 compare_prior: bool = False, prior_only: bool = False,
                 densities: bool = False) -> dict:
     opts, handle = config.stages["forward"], config.handle
+    qoi_ids = opts["qoi_outputs"]
+    qoi_names = [handle.output_names[i] for i in qoi_ids]
     stage_dir = out / "forward"
     stage_dir.mkdir(parents=True, exist_ok=True)
 
-    posterior_file = opts["posterior_file"] or str(out / "invert" / "posterior.json")
+    # every input file is read and checked before the first solver run
     if prior_only:
         space, fixed = _reduced_space(config, out)
         posterior = PosteriorSpec.from_prior(space)
     else:
-        if not Path(posterior_file).exists():
-            raise ConfigError(f"posterior spec not found: {posterior_file} "
-                              "(run the inversion stage or pass --prior-only)")
-        with open(posterior_file) as fh:
-            posterior = PosteriorSpec.from_json_dict(json.load(fh))
-        _require(all(n in config.space.names for n in posterior.names),
-                 f"the names of {posterior_file}", f"dimensions in {list(config.space.names)}",
-                 list(posterior.names))
+        posterior_file = opts["posterior_file"] or str(out / "invert" / "posterior.json")
+        posterior = _read_posterior(posterior_file, config.space)
         fixed = _fixed_values(config, posterior.names)
+    compare = compare_prior and not prior_only
+    if compare:
+        prior_space, _ = _reduced_space(config, out)
+        if tuple(prior_space.names) != tuple(posterior.names):
+            raise ConfigError("prior space dims do not match the posterior spec")
+        prior_spec = PosteriorSpec.from_prior(prior_space)
+        prior_file = out / "invert" / "surrogate.json"
+        prior_surrogate = (_read_prior_surrogate(prior_file, qoi_names)
+                           if prior_file.exists() else None)
 
     post_space = ParameterSpace.from_pairs(zip(posterior.names, posterior.marginals))
     model = StageModel(handle, post_space, fixed=fixed)
-    qoi_ids = opts["qoi_outputs"]
-    qoi_names = tuple(handle.output_names[i] for i in qoi_ids)
-
     _log(f"forward: building {opts['kind']} grid, w={opts['w']} on the "
          f"{'prior' if prior_only else 'posterior'}-matched space")
-    surrogate_full = _build_stage_surrogate(post_space, opts["kind"], opts["w"], model,
-                                            handle.output_names)
-    qoi_surrogate = _slice_outputs(surrogate_full, qoi_ids, qoi_names)
-    _log(f"forward: {qoi_surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
+    surrogate = _build_stage_surrogate(post_space, opts["kind"], opts["w"], model, qoi_ids)
+    _log(f"forward: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
 
     files = {}
     if validate:
@@ -483,44 +503,35 @@ def run_forward(config: Config, out: Path, validate: bool = False,
                     _validation_table(post_space, opts, model, qoi_ids, samples))
         files["validation"] = "forward/validation.json"
 
-    if compare_prior and not prior_only:
-        prior_space, _ = _reduced_space(config, out)
-        if tuple(prior_space.names) != tuple(posterior.names):
-            raise ConfigError("prior space dims do not match the posterior spec")
-        prior_spec = PosteriorSpec.from_prior(prior_space)
-        prior_file = opts["prior_surrogate_file"] or str(out / "invert" / "surrogate.json")
-        if Path(prior_file).exists():
-            with open(prior_file) as fh:
-                prior_full = surrogate_from_json_dict(json.load(fh))
-            prior_surrogate = _slice_outputs(prior_full, qoi_ids, qoi_names)
-            _log("forward: prior propagation reuses the inversion-stage surrogate")
-        else:
+    if compare:
+        if prior_surrogate is None:
             prior_model = StageModel(handle, prior_space, fixed=fixed)
-            prior_fullsur = _build_stage_surrogate(prior_space, opts["kind"], opts["w"],
-                                                   prior_model, handle.output_names)
-            prior_surrogate = _slice_outputs(prior_fullsur, qoi_ids, qoi_names)
+            prior_surrogate = _build_stage_surrogate(prior_space, opts["kind"], opts["w"],
+                                                     prior_model, qoi_ids)
             model.evaluations += prior_model.evaluations
             _log(f"forward: built a fresh prior surrogate (+{prior_model.evaluations} evaluations)")
+        else:
+            _log("forward: prior propagation reuses the inversion-stage surrogate")
         comparison = uncertainty_bands(prior_spec, prior_surrogate, posterior,
-                                       qoi_surrogate, n=opts["n_samples"],
+                                       surrogate, n=opts["n_samples"],
                                        seed=opts["seed"], kde_grid_size=opts["kde_grid"])
     else:
         samples = sample_posterior(posterior, opts["n_samples"], opts["seed"])
-        values = propagate(qoi_surrogate, samples)
+        values = propagate(surrogate, samples)
         dens = [estimate_density(values[:, j], opts["kde_grid"]) for j in range(values.shape[1])]
         comparison = BandComparison(prior=dens, posterior=dens)
 
     coords = None
     if getattr(handle, "output_coordinates", None) is not None:
         coords = [float(handle.output_coordinates[i]) for i in qoi_ids]
-    write_bands_csv(stage_dir / "bands.csv", comparison, list(qoi_names), coords)
+    write_bands_csv(stage_dir / "bands.csv", comparison, qoi_names, coords)
     files["bands"] = "forward/bands.csv"
     if densities:
-        write_densities_json(stage_dir / "densities.json", comparison, list(qoi_names))
+        write_densities_json(stage_dir / "densities.json", comparison, qoi_names)
         files["densities"] = "forward/densities.json"
     _log(f"forward: bands written for {comparison.n_locations} locations, n={opts['n_samples']}")
     return {"model_evaluations": model.evaluations,
-            "grid_points": qoi_surrogate.grid.n_points,
+            "grid_points": surrogate.grid.n_points,
             "n_samples": int(opts["n_samples"]),
             "files": files}
 

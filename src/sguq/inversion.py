@@ -12,7 +12,6 @@ or weakly identifiable (uniform marginal on the profile confidence interval).
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 
@@ -213,15 +212,21 @@ def find_map(surrogate: Surrogate, meas: Measurements, n_starts: int = 16,
         raw.append((np.clip(lo + res.x * width, box[0], box[1]), 2.0 * res.cost,
                     lo + z0 * width))
 
-    raw.sort(key=lambda t: t[1])
+    # a minimum keeps the point of its lowest-LS hit and the first start, in start
+    # order, that reached it: its hits differ in LS only by rounding
     clusters: list[ClusterMinimum] = []
-    for v, ls, start in raw:
-        for cl in clusters:
+    first: list[int] = []
+    for k in sorted(range(n_starts), key=lambda k: raw[k][1]):
+        v, ls, start = raw[k]
+        for j, cl in enumerate(clusters):
             if np.linalg.norm((v - cl.v) / width) < CLUSTER_TOL:
                 cl.n_hits += 1
+                if k < first[j]:
+                    first[j], cl.start_point = k, start
                 break
         else:
             clusters.append(ClusterMinimum(v=v, ls=ls, start_point=start))
+            first.append(k)
 
     return MapResult(v_map=clusters[0].v, ls_min=clusters[0].ls, minima=clusters,
                      n_starts=n_starts, seed=seed, starts=starts)
@@ -450,9 +455,3 @@ def inversion_report_json_dict(meas: Measurements, map_result: MapResult,
         ],
         "posterior": posterior.to_json_dict(),
     }
-
-
-def write_inversion_report(path, *args, **kwargs):
-    with open(path, "w") as fh:
-        json.dump(inversion_report_json_dict(*args, **kwargs), fh, indent=2)
-        fh.write("\n")

@@ -259,6 +259,18 @@ def test_invert_validate_table_decreases(tmp_path):
     assert read_manifest(out)["stages"]["invert"]["model_evaluations"] == 75
 
 
+def test_inversion_report_keeps_the_measured_output_ids(tmp_path):
+    # inversion.json used to renumber the measured outputs to 0..K-1
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"],
+                                 "measurement_outputs": ["u_3", "u_7"]})
+    out = tmp_path / "o"
+    assert main(["invert", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "invert" / "inversion.json").read_text())
+    saved = json.loads((out / "invert" / "measurements.json").read_text())
+    assert saved["location_ids"] == [2, 6]
+    assert report["measurements"] == saved
+
+
 def test_invert_noiseless_recovers_target(tmp_path, capsys):
     t_knot = float(symmetric_leja(5, 1130.0, 1450.0)[2])
     x_knot = float(symmetric_leja(7, -5.0, 0.0)[4])
@@ -461,6 +473,43 @@ def test_posterior_names_outside_the_space_exit_2_before_any_solver_run(tmp_path
     assert main(["forward", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 2
     assert "log_hp" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+GOOD_POSTERIOR = {"names": ["T_A", "log_h_p"],
+                  "marginals": [{"type": "gaussian", "mean": 1340.0, "std": 10.0},
+                                {"type": "uniform", "a": -5.0, "b": 0.0}],
+                  "classification": ["identifiable", "weakly_identifiable"],
+                  "prior_box": [[1130.0, 1450.0], [-5.0, 0.0]]}
+
+
+@pytest.mark.parametrize("posterior, surrogate", [
+    ({**GOOD_POSTERIOR, "marginals": [{"type": "gaussian", "mean": 1340.0},
+                                      GOOD_POSTERIOR["marginals"][1]]}, None),
+    ("{not json", None),
+    ({**GOOD_POSTERIOR, "marginals": [{"type": "beta", "a": 1.0, "b": 2.0},
+                                      GOOD_POSTERIOR["marginals"][1]]}, None),
+    ({**GOOD_POSTERIOR, "marginals": [{"type": "gaussian", "mean": 1340.0, "std": 0.0},
+                                      GOOD_POSTERIOR["marginals"][1]]}, None),
+    (GOOD_POSTERIOR, "{not json"),
+    (GOOD_POSTERIOR, {"space": [{"name": "T_A", "distribution": "uniform"}]}),
+], ids=["no_std", "malformed_posterior", "beta_marginal", "zero_std",
+        "malformed_surrogate", "surrogate_without_range"])
+def test_bad_forward_input_file_exits_2_before_any_solver_run(tmp_path, capsys, posterior,
+                                                              surrogate):
+    # the solver always fails, so a solver run before the file check would exit 3
+    out = tmp_path / "o"
+    files = {out / "invert" / "posterior.json": posterior}
+    if surrogate is not None:
+        files[out / "invert" / "surrogate.json"] = surrogate
+    for path, content in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
+    cfg["model"] = failing_model(tmp_path)
+    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--compare-prior"]) == 2
+    assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 

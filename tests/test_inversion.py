@@ -230,6 +230,31 @@ def test_find_map_records_each_start_convergence(beam_inversion):
     assert all(s["nfev"] >= 1 and s["njev"] >= 1 for s in result.starts)
 
 
+def test_find_map_start_point_is_the_first_start_of_each_minimum(
+        beam_surrogate, beam_measurements, monkeypatch):
+    # the hits at one minimum differ in LS only by rounding, so the lowest-LS hit's start
+    # moved with any rounding change; the first start in start order does not
+    ends = []
+
+    def recording(fun, jac, x0, tol):
+        res = trf_unit_box(fun, jac, x0, tol)
+        ends.append((x0, res.x, 2.0 * res.cost))
+        return res
+
+    monkeypatch.setattr(sguq.inversion, "trf_unit_box", recording)
+    result = find_map(beam_surrogate, beam_measurements, n_starts=16, seed=SEED)
+    box = beam_surrogate.grid.space.uniform_box()
+    lo, width = box[0], box[1] - box[0]
+    assert [cl.n_hits for cl in result.minima] == [6, 7, 2, 1]
+    for cl in result.minima:
+        hits = [k for k, (_, x, _) in enumerate(ends)
+                if np.linalg.norm((lo + x * width - cl.v) / width) < CLUSTER_TOL]
+        assert len(hits) == cl.n_hits
+        assert np.array_equal(cl.start_point, lo + ends[hits[0]][0] * width)
+        # the reported point and LS are still the lowest-LS hit's
+        assert cl.ls == min(ends[k][2] for k in hits)
+
+
 def test_map_result_counts_status_at_most_zero_as_not_converged():
     starts = [{"status": st, "nfev": 5, "njev": 4} for st in (-1, 0, 1, 2, 3, 4)]
     res = MapResult(v_map=np.zeros(2), ls_min=0.0, minima=[], n_starts=6, seed=0,
