@@ -451,10 +451,12 @@ def _read_posterior(path: str, space: ParameterSpace) -> PosteriorSpec:
     return posterior
 
 
-def _read_prior_surrogate(path: Path, names) -> Surrogate:
-    """The inversion stage's surrogate in ``path``, cut down to the outputs ``names``."""
+def _read_prior_surrogate(path: Path, space: ParameterSpace, names) -> Surrogate:
+    """The inversion stage's surrogate in ``path``, on ``space``, cut to the outputs ``names``."""
     def parse(data):
         full = surrogate_from_json_dict(data)
+        if full.grid.space != space:
+            raise ConfigError(f"prior surrogate {path} is built on another parameter space")
         ids = [full.output_names.index(n) for n in names]
         return Surrogate(grid=full.grid, values=full.values[:, ids], output_names=tuple(names))
 
@@ -485,7 +487,7 @@ def run_forward(config: Config, out: Path, validate: bool = False,
             raise ConfigError("prior space dims do not match the posterior spec")
         prior_spec = PosteriorSpec.from_prior(prior_space)
         prior_file = out / "invert" / "surrogate.json"
-        prior_surrogate = (_read_prior_surrogate(prior_file, qoi_names)
+        prior_surrogate = (_read_prior_surrogate(prior_file, prior_space, qoi_names)
                            if prior_file.exists() else None)
 
     post_space = ParameterSpace.from_pairs(zip(posterior.names, posterior.marginals))

@@ -337,6 +337,11 @@ class PosteriorSpec:
     sigma2_map: float | None = None
     covariance: np.ndarray | None = None
 
+    def __post_init__(self):
+        if not len(self.names) == len(self.marginals) == len(self.classification):
+            raise ValueError(f"{len(self.names)} names, {len(self.marginals)} marginals and "
+                             f"{len(self.classification)} classes")
+
     @property
     def n_dims(self) -> int:
         return len(self.marginals)

@@ -491,9 +491,10 @@ GOOD_POSTERIOR = {"names": ["T_A", "log_h_p"],
                                       GOOD_POSTERIOR["marginals"][1]]}, None),
     ({**GOOD_POSTERIOR, "marginals": [{"type": "gaussian", "mean": 1340.0, "std": 0.0},
                                       GOOD_POSTERIOR["marginals"][1]]}, None),
+    ({**GOOD_POSTERIOR, "marginals": GOOD_POSTERIOR["marginals"][:1]}, None),
     (GOOD_POSTERIOR, "{not json"),
     (GOOD_POSTERIOR, {"space": [{"name": "T_A", "distribution": "uniform"}]}),
-], ids=["no_std", "malformed_posterior", "beta_marginal", "zero_std",
+], ids=["no_std", "malformed_posterior", "beta_marginal", "zero_std", "one_marginal",
         "malformed_surrogate", "surrogate_without_range"])
 def test_bad_forward_input_file_exits_2_before_any_solver_run(tmp_path, capsys, posterior,
                                                               surrogate):
@@ -510,6 +511,21 @@ def test_bad_forward_input_file_exits_2_before_any_solver_run(tmp_path, capsys, 
     assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(out),
                  "--compare-prior"]) == 2
     assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_saved_prior_surrogate_of_another_space_exits_2_before_any_solver_run(tmp_path,
+                                                                             capsys):
+    # the inversion ran on another T_A range; its surrogate would give the prior band
+    # of that range, evaluated by extrapolation
+    out = tmp_path / "o"
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
+    assert main(["invert", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    cfg["space"][0]["range"] = [1100, 1500]
+    cfg["model"] = failing_model(tmp_path)
+    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--compare-prior"]) == 2
+    assert str(out / "invert" / "surrogate.json") in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 
