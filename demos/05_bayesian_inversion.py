@@ -96,6 +96,5 @@ for name, (grid_1d, ls) in zip(space.names, profiles):
     print(f"{name}: confidence set spans [{inside.min():.2f}, {inside.max():.2f}]")
 
 posterior = build_posterior(result, cov, profiles, space, s2)
-for name, marginal, label in zip(posterior.names, posterior.marginals,
-                                 posterior.classification):
-    print(f"{name}: {label} -> {marginal}")
+for dim, label in zip(posterior.space.dims, posterior.classification):
+    print(f"{dim.name}: {label} -> {dim.dist}")

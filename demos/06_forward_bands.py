@@ -19,7 +19,6 @@
 import numpy as np
 
 from sguq import (
-    Dim,
     ParameterSpace,
     PosteriorSpec,
     Surrogate,
@@ -65,12 +64,10 @@ cov = laplace_covariance(disp_surrogate, data, map_result.v_map, s2)
 profiles = [profile_likelihood(disp_surrogate, data, n, map_result.v_map)
             for n in range(2)]
 posterior = build_posterior(map_result, cov, profiles, prior_space, s2)
-for name, marginal in zip(posterior.names, posterior.marginals):
-    print(f"{name}: {marginal}")
+for dim in posterior.space.dims:
+    print(f"{dim.name}: {dim.dist}")
 prior_surrogate = Surrogate.from_model(build_sparse_grid(prior_space, mset), strains)
-post_space = ParameterSpace(dims=tuple(
-    Dim(n, m) for n, m in zip(posterior.names, posterior.marginals)))
-post_surrogate = Surrogate.from_model(build_sparse_grid(post_space, mset), strains)
+post_surrogate = Surrogate.from_model(build_sparse_grid(posterior.space, mset), strains)
 print("two surrogates, 25 model runs each")
 
 # %% [markdown]

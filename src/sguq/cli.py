@@ -407,9 +407,8 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     files = {"surrogate": "invert/surrogate.json",
              "measurements": "invert/measurements.json"}
     if validate:
-        rng = np.random.default_rng(opts["validation_seed"])
-        box = space.uniform_box()
-        samples = box[0] + (box[1] - box[0]) * rng.random((opts["validation_samples"], space.n_dims))
+        samples = sample_posterior(PosteriorSpec.from_prior(space), opts["validation_samples"],
+                                   opts["validation_seed"])
         _write_json(stage_dir / "validation.json",
                     _validation_table(space, opts, model, list(meas.location_ids), samples))
         files["validation"] = "invert/validation.json"
@@ -446,8 +445,9 @@ def _read_posterior(path: str, space: ParameterSpace) -> PosteriorSpec:
         raise ConfigError(f"posterior spec not found: {path} "
                           "(run the inversion stage or pass --prior-only)")
     posterior = _read_json_file(path, "posterior spec", PosteriorSpec.from_json_dict)
-    _require(all(n in space.names for n in posterior.names),
-             f"the names of {path}", f"dimensions in {list(space.names)}", list(posterior.names))
+    names = posterior.space.names
+    _require(set(names) <= set(space.names), f"the names of {path}",
+             f"dimensions in {list(space.names)}", list(names))
     return posterior
 
 
@@ -479,22 +479,21 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     else:
         posterior_file = opts["posterior_file"] or str(out / "invert" / "posterior.json")
         posterior = _read_posterior(posterior_file, config.space)
-        fixed = _fixed_values(config, posterior.names)
+        fixed = _fixed_values(config, posterior.space.names)
     compare = compare_prior and not prior_only
     if compare:
         prior_space, _ = _reduced_space(config, out)
-        if tuple(prior_space.names) != tuple(posterior.names):
+        if prior_space.names != posterior.space.names:
             raise ConfigError("prior space dims do not match the posterior spec")
         prior_spec = PosteriorSpec.from_prior(prior_space)
         prior_file = out / "invert" / "surrogate.json"
         prior_surrogate = (_read_prior_surrogate(prior_file, prior_space, qoi_names)
                            if prior_file.exists() else None)
 
-    post_space = ParameterSpace.from_pairs(zip(posterior.names, posterior.marginals))
-    model = StageModel(handle, post_space, fixed=fixed)
+    model = StageModel(handle, posterior.space, fixed=fixed)
     _log(f"forward: building {opts['kind']} grid, w={opts['w']} on the "
          f"{'prior' if prior_only else 'posterior'}-matched space")
-    surrogate = _build_stage_surrogate(post_space, opts["kind"], opts["w"], model, qoi_ids)
+    surrogate = _build_stage_surrogate(posterior.space, opts["kind"], opts["w"], model, qoi_ids)
     _log(f"forward: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
 
     files = {}
@@ -502,7 +501,7 @@ def run_forward(config: Config, out: Path, validate: bool = False,
         samples = sample_posterior(posterior, opts["validation_samples"],
                                    opts["validation_seed"])
         _write_json(stage_dir / "validation.json",
-                    _validation_table(post_space, opts, model, qoi_ids, samples))
+                    _validation_table(posterior.space, opts, model, qoi_ids, samples))
         files["validation"] = "forward/validation.json"
 
     if compare:

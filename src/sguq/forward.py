@@ -1,16 +1,19 @@
 """Data-informed forward propagation: sampling, densities, quantile bands.
 
-Samples of the (prior or posterior) parameter distribution are pushed through
-a quantity-of-interest surrogate; each output location gets a Gaussian-kernel
-density estimate with Silverman bandwidth (linearly binned and convolved by
-FFT, after Silverman's Algorithm AS 176), a grid-based mode and empirical
-5%/95% quantiles.  Comparing the posterior band against the prior-based band
-quantifies the uncertainty reduction bought by the measurement data.
+Samples of the (prior or posterior) parameter distribution, drawn by inverse
+CDF with each Gaussian marginal truncated exactly to the prior box, are
+pushed through a quantity-of-interest surrogate; each output location gets a
+Gaussian-kernel density estimate with Silverman bandwidth (linearly binned
+and convolved by FFT, after Silverman's Algorithm AS 176), a grid-based mode
+and empirical 5%/95% quantiles.  Comparing the posterior band against the
+prior-based band quantifies the uncertainty reduction bought by the
+measurement data.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,7 @@ import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .inversion import PosteriorSpec
-from .surrogate import Gaussian, Surrogate, Uniform
+from .surrogate import Surrogate, Uniform
 
 __all__ = [
     "DensityEstimate",
@@ -42,41 +45,96 @@ MIN_KDE_GRID = 2
 KDE_BINS_PER_BANDWIDTH = 8
 KDE_MAX_REFINE = 64
 MIN_KDE_SAMPLES = 100
-#: below this acceptance rate the truncated-Gaussian rejection sampler aborts
-MIN_ACCEPTANCE = 0.01
+#: AS 241 (Wichura, Applied Statistics 1988), the algorithm behind
+#: statistics.NormalDist.inv_cdf: (numerator, denominator) coefficients,
+#: highest degree first, of the rational approximations to the standard normal
+#: quantile for |p - 0.5| <= 0.425, and in the tails for r = sqrt(-log p) up to
+#: 5 and beyond
+_AS241_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0))
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0))
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0))
+
+
+def _horner(coeffs, r):
+    out = coeffs[0]
+    for c in coeffs[1:]:
+        out = out * r + c
+    return out
+
+
+def _normal_quantile(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each p in (0, 1), operation for operation
+    as statistics.NormalDist().inv_cdf."""
+    q = p - 0.5
+    x = np.empty_like(p)
+    mid = np.abs(q) <= 0.425
+    qm = q[mid]
+    r = 0.180625 - qm * qm
+    x[mid] = _horner(_AS241_CENTRAL[0], r) * qm / _horner(_AS241_CENTRAL[1], r)
+    qt = q[~mid]
+    r = np.sqrt(-np.log(np.where(qt <= 0.0, p[~mid], 1.0 - p[~mid])))
+    t = r - 1.6
+    xt = _horner(_AS241_NEAR[0], t) / _horner(_AS241_NEAR[1], t)
+    far = r > 5.0
+    t = r[far] - 5.0
+    xt[far] = _horner(_AS241_FAR[0], t) / _horner(_AS241_FAR[1], t)
+    x[~mid] = np.where(qt < 0.0, -xt, xt)
+    return x
+
+
+def _normal_cdf(x: float) -> float:
+    # erfc keeps the relative precision of the lower tail, where 1 + erf does not
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def sample_posterior(spec: PosteriorSpec, n: int, seed: int) -> np.ndarray:
     """Independent draws from the per-dimension marginals, (n, N).
 
-    Gaussian marginals are truncated to the prior box by rejection: the
-    propagation surrogate is only trustworthy there, and unbounded tails
-    would be dominated by polynomial extrapolation.
+    One block of uniform draws is mapped column by column through each
+    marginal's inverse CDF.  Gaussian marginals are truncated to the prior box
+    exactly: the propagation surrogate is only trustworthy there, and
+    unbounded tails would be dominated by polynomial extrapolation.  A box
+    above the mean is mirrored below it, where the normal CDF keeps its
+    relative precision; a box that holds no floating-point probability is an
+    error.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    cols = []
-    for d, marginal in enumerate(spec.marginals):
-        if isinstance(marginal, Uniform):
-            cols.append(rng.uniform(marginal.a, marginal.b, size=n))
-        elif isinstance(marginal, Gaussian):
-            lo, hi = spec.prior_box[0, d], spec.prior_box[1, d]
-            accepted = np.empty(0)
-            drawn = 0
-            while accepted.size < n:
-                chunk = rng.normal(marginal.mean, marginal.std, size=max(n, 4096))
-                drawn += chunk.size
-                accepted = np.concatenate([accepted, chunk[(chunk >= lo) & (chunk <= hi)]])
-                if drawn >= 100 * n and accepted.size < MIN_ACCEPTANCE * drawn:
-                    raise ValueError(
-                        f"truncated-Gaussian acceptance below {MIN_ACCEPTANCE:.0%} for "
-                        f"dimension {spec.names[d]!r}: mean {marginal.mean}, std "
-                        f"{marginal.std} vs box [{lo}, {hi}]")
-            cols.append(accepted[:n])
-        else:
-            raise TypeError(f"unsupported marginal {type(marginal).__name__}")
-    return np.column_stack(cols)
+    draws = np.random.default_rng(seed).random((n, spec.space.n_dims))
+    for d, (dim, lo, hi) in enumerate(zip(spec.space.dims, *spec.prior_box)):
+        m, u = dim.dist, draws[:, d]
+        if isinstance(m, Uniform):
+            draws[:, d] = m.a + (m.b - m.a) * u
+            continue
+        a, b = (lo - m.mean) / m.std, (hi - m.mean) / m.std
+        sign = -1.0 if a > -b else 1.0
+        a, b = sorted((sign * a, sign * b))
+        pa, pb = _normal_cdf(a), _normal_cdf(b)
+        if not pa < pb:
+            raise ValueError(f"prior box [{lo}, {hi}] of dimension {dim.name!r} holds no "
+                             f"probability of its marginal N({m.mean}, {m.std}^2)")
+        # p in the open unit interval, where the quantile is finite
+        p = np.clip(pa + (pb - pa) * u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+        draws[:, d] = np.clip(m.mean + sign * m.std * _normal_quantile(p), lo, hi)
+    return draws
 
 
 def propagate(surrogate: Surrogate, samples: np.ndarray) -> np.ndarray:

@@ -323,46 +323,53 @@ def profile_likelihood(surrogate: Surrogate, meas: Measurements, dim: int,
 
 @dataclass
 class PosteriorSpec:
-    """Independent per-dimension posterior marginals.
+    """Independent per-dimension posterior marginals, as a parameter space.
 
     The product form (a Gaussian for each identifiable dimension, a uniform
     on a reduced interval for each weakly identifiable one) is a modeling
     choice recorded here, not a tested property of the joint posterior.
+    ``prior_box`` (2, N) bounds the draws: Gaussians are truncated to it and
+    every uniform lies inside it.
     """
 
-    names: tuple[str, ...]
-    marginals: tuple
+    space: ParameterSpace
     classification: tuple[str, ...]
     prior_box: np.ndarray
     sigma2_map: float | None = None
     covariance: np.ndarray | None = None
 
     def __post_init__(self):
-        if not len(self.names) == len(self.marginals) == len(self.classification):
-            raise ValueError(f"{len(self.names)} names, {len(self.marginals)} marginals and "
-                             f"{len(self.classification)} classes")
-
-    @property
-    def n_dims(self) -> int:
-        return len(self.marginals)
+        n = self.space.n_dims
+        if len(self.classification) != n:
+            raise ValueError(f"{n} marginals and {len(self.classification)} classes")
+        self.prior_box = np.asarray(self.prior_box, dtype=float)
+        if self.prior_box.shape != (2, n):
+            raise ValueError(f"prior box has shape {self.prior_box.shape}, not (2, {n})")
+        for d, lo, hi in zip(self.space.dims, *self.prior_box):
+            if not lo < hi:
+                raise ValueError(f"prior box of {d.name!r} has lower bound {lo} "
+                                 f"not below upper bound {hi}")
+            if isinstance(d.dist, Uniform) and not lo <= d.dist.a < d.dist.b <= hi:
+                raise ValueError(f"uniform marginal of {d.name!r} on [{d.dist.a}, {d.dist.b}] "
+                                 f"leaves the prior box [{lo}, {hi}]")
 
     @classmethod
     def from_prior(cls, space: ParameterSpace) -> "PosteriorSpec":
-        box = space.uniform_box()
-        return cls(names=space.names,
-                   marginals=tuple(d.dist for d in space.dims),
-                   classification=tuple("prior" for _ in space.dims),
-                   prior_box=box)
+        """The prior itself: uniforms on their ranges, Gaussians untruncated."""
+        box = [(d.dist.a, d.dist.b) if isinstance(d.dist, Uniform) else (-np.inf, np.inf)
+               for d in space.dims]
+        return cls(space=space, classification=tuple("prior" for _ in space.dims),
+                   prior_box=np.array(box).T)
 
     def to_json_dict(self) -> dict:
         marg = []
-        for m in self.marginals:
+        for m in (d.dist for d in self.space.dims):
             if isinstance(m, Gaussian):
                 marg.append({"type": "gaussian", "mean": m.mean, "std": m.std})
             else:
                 marg.append({"type": "uniform", "a": m.a, "b": m.b})
         out = {
-            "names": list(self.names),
+            "names": list(self.space.names),
             "marginals": marg,
             "classification": list(self.classification),
             "prior_box": [[float(x) for x in row] for row in self.prior_box],
@@ -383,11 +390,13 @@ class PosteriorSpec:
                 marginals.append(Uniform(float(m["a"]), float(m["b"])))
             else:
                 raise ValueError(f"unknown marginal type {m['type']!r}")
+        names = data["names"]
+        if len(names) != len(marginals):
+            raise ValueError(f"{len(names)} names and {len(marginals)} marginals")
         cov = data.get("covariance")
-        return cls(names=tuple(data["names"]),
-                   marginals=tuple(marginals),
+        return cls(space=ParameterSpace.from_pairs(zip(names, marginals)),
                    classification=tuple(data["classification"]),
-                   prior_box=np.array(data["prior_box"], dtype=float),
+                   prior_box=data["prior_box"],
                    sigma2_map=data.get("sigma2_map"),
                    covariance=None if cov is None else np.array(cov, dtype=float))
 
@@ -428,7 +437,7 @@ def build_posterior(map_result: MapResult, covariance: LaplaceCovariance,
             std = float(np.sqrt(covariance.matrix[n, n]))
             marginals.append(Gaussian(float(v_map[n]), std))
             classes.append("identifiable")
-    return PosteriorSpec(names=space.names, marginals=tuple(marginals),
+    return PosteriorSpec(space=ParameterSpace.from_pairs(zip(space.names, marginals)),
                          classification=tuple(classes), prior_box=box,
                          sigma2_map=float(sigma2_map), covariance=covariance.matrix)
 
@@ -454,7 +463,7 @@ def inversion_report_json_dict(meas: Measurements, map_result: MapResult,
         "covariance": [[float(x) for x in row] for row in covariance.matrix],
         "gauss_newton_fallback": covariance.gauss_newton_fallback,
         "profiles": [
-            {"dim": posterior.names[n], "grid": [float(x) for x in g],
+            {"dim": posterior.space.names[n], "grid": [float(x) for x in g],
              "ls": [float(x) for x in l]}
             for n, (g, l) in enumerate(profiles)
         ],

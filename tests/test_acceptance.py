@@ -28,7 +28,6 @@ from sguq.knots import knots_for_level, symmetric_gaussian_leja, symmetric_leja
 from sguq.models import beam_proxy, ishigami, ISHIGAMI_A, ISHIGAMI_B
 from sguq.sobol import sobol_indices
 from sguq.surrogate import (
-    Dim,
     Gaussian,
     ParameterSpace,
     Surrogate,
@@ -216,8 +215,8 @@ def test_criterion_7_inversion_consistency(beam_space, beam_surrogate):
                 for n in range(2)]
     posterior = build_posterior(result, cov, profiles, beam_space, s2)
     assert posterior.classification == ("identifiable", "weakly_identifiable")
-    assert isinstance(posterior.marginals[0], Gaussian)
-    assert isinstance(posterior.marginals[1], Uniform)
+    assert isinstance(posterior.space.dims[0].dist, Gaussian)
+    assert isinstance(posterior.space.dims[1].dist, Uniform)
     # (d) linear-Gaussian covariance against the closed form
     amat = np.array([[1.0, 0.4], [0.2, 1.3], [0.7, -0.5]])
     lin_space = uniform_space([(-1, 1), (-1, 1)])
@@ -270,9 +269,7 @@ def test_criterion_9_forward_uq(beam_space, beam_surrogate):
     prior_spec = PosteriorSpec.from_prior(beam_space)
     prior_grid = build_sparse_grid(beam_space, generate_index_set("sum", 2, 3))
     prior_sur = Surrogate.from_model(prior_grid, beam_strains)
-    post_space = ParameterSpace(dims=tuple(
-        Dim(n, m) for n, m in zip(posterior.names, posterior.marginals)))
-    post_grid = build_sparse_grid(post_space, generate_index_set("sum", 2, 3))
+    post_grid = build_sparse_grid(posterior.space, generate_index_set("sum", 2, 3))
     post_sur = Surrogate.from_model(post_grid, beam_strains)
 
     comparison = uncertainty_bands(prior_spec, prior_sur, posterior, post_sur,

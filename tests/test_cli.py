@@ -378,6 +378,18 @@ def test_forward_prior_only_runs_standalone(tmp_path):
     assert len(densities) == 120 and len(densities[0]["posterior"]["grid"]) == 512
 
 
+def test_forward_prior_only_propagates_a_gaussian_prior(tmp_path):
+    # the Gaussian prior dimension has no box; it is sampled untruncated
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
+    cfg["space"][0] = {"name": "T_A", "distribution": "gaussian", "mean": 1300.0, "std": 40.0}
+    out = tmp_path / "o"
+    assert main(["forward", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out), "--prior-only"]) == 0
+    rows = list(csv.DictReader((out / "forward" / "bands.csv").read_text().splitlines()))
+    assert len(rows) == 120
+    assert all(float(r["post_q05"]) < float(r["post_q95"]) for r in rows)
+
+
 def test_pipeline_accounting_and_determinism(tmp_path):
     cfg_path = write_config(tmp_path, beam_config())
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -466,7 +478,7 @@ def test_posterior_names_outside_the_space_exit_2_before_any_solver_run(tmp_path
                  "marginals": [{"type": "gaussian", "mean": 1340.0, "std": 10.0},
                                {"type": "uniform", "a": -5.0, "b": 0.0}],
                  "classification": ["identifiable", "weakly_identifiable"],
-                 "prior_box": [[1130.0, 1450.0], [-5.0, 0.0]]}
+                 "prior_box": [[1130.0, -5.0], [1450.0, 0.0]]}
     (tmp_path / "posterior.json").write_text(json.dumps(posterior))
     cfg = beam_config(forward={"posterior_file": str(tmp_path / "posterior.json")})
     cfg["model"] = failing_model(tmp_path)
@@ -480,7 +492,7 @@ GOOD_POSTERIOR = {"names": ["T_A", "log_h_p"],
                   "marginals": [{"type": "gaussian", "mean": 1340.0, "std": 10.0},
                                 {"type": "uniform", "a": -5.0, "b": 0.0}],
                   "classification": ["identifiable", "weakly_identifiable"],
-                  "prior_box": [[1130.0, 1450.0], [-5.0, 0.0]]}
+                  "prior_box": [[1130.0, -5.0], [1450.0, 0.0]]}
 
 
 @pytest.mark.parametrize("posterior, surrogate", [
@@ -492,10 +504,15 @@ GOOD_POSTERIOR = {"names": ["T_A", "log_h_p"],
     ({**GOOD_POSTERIOR, "marginals": [{"type": "gaussian", "mean": 1340.0, "std": 0.0},
                                       GOOD_POSTERIOR["marginals"][1]]}, None),
     ({**GOOD_POSTERIOR, "marginals": GOOD_POSTERIOR["marginals"][:1]}, None),
+    ({**GOOD_POSTERIOR, "prior_box": [[1130.0], [1450.0]]}, None),
+    ({**GOOD_POSTERIOR, "prior_box": [[1450.0, -5.0], [1130.0, 0.0]]}, None),
+    ({**GOOD_POSTERIOR, "marginals": [GOOD_POSTERIOR["marginals"][0],
+                                      {"type": "uniform", "a": -9.0, "b": -6.0}]}, None),
     (GOOD_POSTERIOR, "{not json"),
     (GOOD_POSTERIOR, {"space": [{"name": "T_A", "distribution": "uniform"}]}),
 ], ids=["no_std", "malformed_posterior", "beta_marginal", "zero_std", "one_marginal",
-        "malformed_surrogate", "surrogate_without_range"])
+        "one_box_column", "reversed_box", "uniform_outside_box", "malformed_surrogate",
+        "surrogate_without_range"])
 def test_bad_forward_input_file_exits_2_before_any_solver_run(tmp_path, capsys, posterior,
                                                               surrogate):
     # the solver always fails, so a solver run before the file check would exit 3

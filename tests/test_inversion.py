@@ -555,14 +555,15 @@ def test_build_posterior_beam_mixed_form(beam_inversion):
     space = ParameterSpace.from_pairs(BEAM_BOUNDS)
     post = build_posterior(result, cov, profiles, space, s2)
     assert post.classification == ("identifiable", "weakly_identifiable")
-    assert isinstance(post.marginals[0], Gaussian)
-    assert isinstance(post.marginals[1], Uniform)
+    gauss, unif = (d.dist for d in post.space.dims)
+    assert isinstance(gauss, Gaussian)
+    assert isinstance(unif, Uniform)
     # the Gaussian mean sits inside the prior box with reduced variance
-    assert 1130 < post.marginals[0].mean < 1450
+    assert 1130 < gauss.mean < 1450
     prior_var = 320.0 ** 2 / 12.0
-    assert post.marginals[0].std ** 2 < prior_var
+    assert gauss.std ** 2 < prior_var
     # the reduced interval stays inside the prior range
-    assert -5.0 <= post.marginals[1].a < post.marginals[1].b <= 0.0
+    assert -5.0 <= unif.a < unif.b <= 0.0
 
 
 def test_build_posterior_all_gaussian_when_profiles_narrow():
@@ -588,7 +589,7 @@ def test_build_posterior_flat_profile_gives_full_range_uniform():
     cov = LaplaceCovariance(matrix=np.diag([1e-4, 1e2]), gauss_newton_fallback=False)
     post = build_posterior(map_result, cov, profiles, space, sigma2_map=1e-6)
     assert post.classification == ("identifiable", "weakly_identifiable")
-    assert (post.marginals[1].a, post.marginals[1].b) == (-2.0, 2.0)
+    assert post.space.dims[1].dist == Uniform(-2.0, 2.0)
 
 
 def test_posterior_spec_json_round_trip(beam_inversion):
@@ -596,8 +597,7 @@ def test_posterior_spec_json_round_trip(beam_inversion):
     space = ParameterSpace.from_pairs(BEAM_BOUNDS)
     post = build_posterior(result, cov, profiles, space, s2)
     back = PosteriorSpec.from_json_dict(json.loads(json.dumps(post.to_json_dict())))
-    assert back.names == post.names
+    assert back.space == post.space
     assert back.classification == post.classification
-    assert type(back.marginals[0]) is type(post.marginals[0])
     assert np.allclose(back.covariance, post.covariance)
     assert np.array_equal(back.prior_box, post.prior_box)
