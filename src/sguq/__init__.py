@@ -28,7 +28,6 @@ from .surrogate import (
     ParameterSpace,
     SparseGrid,
     Surrogate,
-    TensorGrid,
     Uniform,
     build_sparse_grid,
     surrogate_from_json_dict,

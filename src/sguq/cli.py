@@ -30,13 +30,13 @@ import numpy as np
 
 from . import __version__
 from .forward import (
-    MIN_KDE_GRID, MIN_KDE_SAMPLES, BandComparison, estimate_density, propagate,
-    sample_posterior, uncertainty_bands, write_bands_csv, write_densities_json,
+    KDE_GRID_SIZE, MIN_KDE_GRID, MIN_KDE_SAMPLES, BandComparison, estimate_density,
+    propagate, sample_posterior, uncertainty_bands, write_bands_csv, write_densities_json,
 )
 from .indices import KINDS, generate_index_set
 from .inversion import (
-    MIN_PROFILE_GRID, MIN_STARTS, InversionError, Measurements, PosteriorSpec,
-    build_posterior, find_map, inversion_report_json_dict, laplace_covariance,
+    CHI2_95, FLAT_FRACTION, MIN_PROFILE_GRID, MIN_STARTS, InversionError, Measurements,
+    PosteriorSpec, build_posterior, find_map, inversion_report_json_dict, laplace_covariance,
     profile_likelihood, sigma_map, synthesize_data,
 )
 from .models import ExternalModel, ExternalModelError, register_builtin
@@ -56,11 +56,11 @@ STAGE_OPTIONS = {
     "gsa": {"kind": "max", "w": 1, "n_samples": 16384, "seed": 0, "threshold": 0.05,
             "outputs": None, "exclude_outputs": None},
     "inversion": {"kind": "sum", "w": 3, "n_starts": 16, "seed": 0, "start_seed": 1,
-                  "chi2_threshold": 3.84, "flat_fraction": 0.5, "profile_grid": 101,
+                  "chi2_threshold": CHI2_95, "flat_fraction": FLAT_FRACTION, "profile_grid": 101,
                   "validation_samples": 50, "validation_seed": 0,
                   "dims": None, "fixed_values": None, "data_file": None, "target": None,
                   "noise_std": None, "measurement_outputs": None},
-    "forward": {"kind": "sum", "w": 3, "n_samples": 10000, "seed": 0, "kde_grid": 512,
+    "forward": {"kind": "sum", "w": 3, "n_samples": 10000, "seed": 0, "kde_grid": KDE_GRID_SIZE,
                 "validation_samples": 50, "validation_seed": 0,
                 "posterior_file": None, "qoi_outputs": None},
 }
@@ -156,6 +156,10 @@ def _load_config(path: str, command: str) -> Config:
     for name, value in (fixed or {}).items():
         _require(name in space.names, "inversion.fixed_values", "keyed by dimension names", name)
         _require(_is_number(value), f"inversion.fixed_values.{name}", "a number", value)
+        dist = space.dims[space.names.index(name)].dist
+        if isinstance(dist, Uniform):
+            _require(dist.a <= value <= dist.b, f"inversion.fixed_values.{name}",
+                     f"in [{dist.a}, {dist.b}]", value)
 
     # the screening stage may run before the measurements exist
     if command in ("invert", "pipeline"):
@@ -489,6 +493,9 @@ def run_forward(config: Config, out: Path, validate: bool = False,
         prior_file = out / "invert" / "surrogate.json"
         prior_surrogate = (_read_prior_surrogate(prior_file, prior_space, qoi_names)
                            if prior_file.exists() else None)
+
+    # a box that holds no probability of its marginal fails before the first solver run
+    sample_posterior(posterior, 1, opts["seed"])
 
     model = StageModel(handle, posterior.space, fixed=fixed)
     _log(f"forward: building {opts['kind']} grid, w={opts['w']} on the "

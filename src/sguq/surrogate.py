@@ -8,12 +8,16 @@ set Lambda of polynomial degrees with |Lambda| = M points.  The combination of
 tensor Lagrange interpolants is then the unique interpolant in the span of
 the monomial degrees in Lambda (Chkifa, Cohen & Schwab, FoCM 2014).
 
+A grid is stored as its M points and their degrees; the tensor grid of a
+multi-index i is read off them as the points whose degrees lie below 2i - 1.
+
 A surrogate stores that interpolant once, as coefficients in a product basis
 that is orthonormal per dimension: Legendre polynomials for a uniform
 parameter, probabilists' Hermite polynomials for a Gaussian one.  They are
-computed tensor grid by tensor grid with small 1-D Vandermonde inverses and
-summed with the combination coefficients.  Evaluation, Jacobians and
-Hessians all come from three-term-recurrence tables of the 1-D basis.
+computed tensor grid by tensor grid, by solving small 1-D Vandermonde systems
+along each axis, and summed with the combination coefficients.  Evaluation,
+Jacobians and Hessians all come from three-term-recurrence tables of the 1-D
+basis.
 
 The surrogate of a P-valued model stores one value vector per global grid
 point, so any number of outputs share a single set of model runs.
@@ -31,7 +35,6 @@ from .indices import (
     combination_coefficients,
     index_set_from_json_dict,
     index_set_to_json_dict,
-    is_downward_closed,
 )
 from .knots import (GAUSSIAN_SEARCH_HALFWIDTH, REFINE_TOL, knots_for_level, level_to_knots,
                     symmetric_gaussian_leja, symmetric_leja)
@@ -41,7 +44,6 @@ __all__ = [
     "Gaussian",
     "Dim",
     "ParameterSpace",
-    "TensorGrid",
     "SparseGrid",
     "Surrogate",
     "ExtrapolationWarning",
@@ -156,32 +158,17 @@ class ParameterSpace:
 
 
 @dataclass(frozen=True)
-class TensorGrid:
-    """Cartesian grid of one multi-index: per-dim knots in generation order."""
-
-    index: tuple[int, ...]
-    knots: tuple[np.ndarray, ...]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(k) for k in self.knots)
-
-    @property
-    def n_points(self) -> int:
-        return int(np.prod(self.shape))
-
-
-@dataclass(frozen=True)
 class SparseGrid:
-    """Union of the tensor grids with nonzero combination coefficient."""
+    """Union of the tensor grids with nonzero combination coefficient.
+
+    Point i sits at position ``degrees[i, n]`` of dimension n's nested knots,
+    also its modal degree; ``coefficients`` keeps the index-set order.
+    """
 
     space: ParameterSpace
     index_set: MultiIndexSet
     coefficients: dict[tuple[int, ...], int]
     points: np.ndarray                            # (M, N) deduplicated
-    tensor_grids: tuple[TensorGrid, ...]          # only c_i != 0
-    tensor_coeffs: tuple[int, ...]
-    tensor_maps: tuple[np.ndarray, ...]           # flat grid order -> global ids
     degrees: np.ndarray                           # (M, N) per-dim knot position
 
     @property
@@ -194,32 +181,21 @@ def build_sparse_grid(space: ParameterSpace, mset: MultiIndexSet) -> SparseGrid:
     if mset.dim != space.n_dims:
         raise ValueError(
             f"index set dimension {mset.dim} does not match space dimension {space.n_dims}")
-    if not is_downward_closed(mset.indices):
-        raise ValueError("index set is not downward closed")
     coeffs = combination_coefficients(mset)
     top = np.max(mset.indices, axis=0)
     # nested sequences: every grid's knots are prefixes of these, bit for bit
     sequences = [knots_for_level(d.dist, int(t)) for d, t in zip(space.dims, top)]
     _assert_separated(sequences, space.scales())
 
-    grids = [TensorGrid(index=idx, knots=tuple(seq[:level_to_knots(i)]
-                                               for seq, i in zip(sequences, idx)))
-             for idx in mset.indices if coeffs[idx] != 0]
     # a point is identified by its per-dim knot positions, which are also its
     # modal degrees; global ids follow the order of first appearance
-    positions = np.vstack([np.indices(g.shape).reshape(space.n_dims, -1).T for g in grids])
-    _, first, inverse = np.unique(positions, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    degrees = positions[first[order]]
+    positions = np.vstack([np.indices([level_to_knots(i) for i in idx]).reshape(mset.dim, -1).T
+                           for idx in mset.indices if coeffs[idx] != 0])
+    _, first = np.unique(positions, axis=0, return_index=True)
+    degrees = positions[np.sort(first)]
     points = np.column_stack([seq[degrees[:, n]] for n, seq in enumerate(sequences)])
-    maps = np.split(rank[inverse.ravel()], np.cumsum([g.n_points for g in grids])[:-1])
-    return SparseGrid(
-        space=space, index_set=mset, coefficients=coeffs, points=points,
-        tensor_grids=tuple(grids), tensor_coeffs=tuple(coeffs[g.index] for g in grids),
-        tensor_maps=tuple(maps), degrees=degrees,
-    )
+    return SparseGrid(space=space, index_set=mset, coefficients=coeffs, points=points,
+                      degrees=degrees)
 
 
 def _assert_separated(sequences, scales: np.ndarray):
@@ -266,21 +242,33 @@ def _basis_tables(dists, X: np.ndarray, degree: int, derivatives: int = 0) -> np
 def _modal_coefficients(grid: SparseGrid, values: np.ndarray) -> np.ndarray:
     """Coefficients of the combination-technique interpolant in the modal basis.
 
-    Row i belongs to the degree multi-index grid.degrees[i].  Each tensor
-    grid's values are converted axis by axis with the 1-D Vandermonde
-    matrices of its knots, then summed with the combination coefficients; no
-    M x M system is formed.  The 1-D systems are solved, not inverted: at 17
-    Gaussian knots (condition 2e5) an explicit inverse loses three digits.
+    Row i belongs to the degree multi-index grid.degrees[i].  The tensor grid
+    of index i holds the points whose degrees lie below its knot counts; its
+    values are converted axis by axis with the 1-D Vandermonde matrices of
+    its knots, then summed with the combination coefficients in index-set
+    order; no M x M system is formed.  The 1-D systems are solved, not
+    inverted: at 17 Gaussian knots (condition 2e5) an explicit inverse loses
+    three digits.
     """
+    deg = grid.degrees
     # knots are nested, so each grid's Vandermonde is a leading block of the longest
     vandermonde = []
     for n, d in enumerate(grid.space.dims):
-        knots = max((g.knots[n] for g in grid.tensor_grids), key=len)
+        knots = np.empty(deg[:, n].max() + 1)
+        knots[deg[:, n]] = grid.points[:, n]
         vandermonde.append(_basis_tables([d.dist], knots[:, None], len(knots) - 1)[0, :, 0])
     out = np.zeros((grid.n_points, values.shape[1]))
-    for tgrid, c, ids in zip(grid.tensor_grids, grid.tensor_coeffs, grid.tensor_maps):
-        cube = values[ids].reshape(tgrid.shape + (values.shape[1],))
-        for n, m in enumerate(tgrid.shape):
+    for idx, c in grid.coefficients.items():
+        if c == 0:
+            continue
+        shape = tuple(level_to_knots(i) for i in idx)
+        inside = np.flatnonzero(np.all(deg < shape, axis=1))
+        ids = np.empty_like(inside)
+        ids[np.ravel_multi_index(deg[inside].T, shape)] = inside
+        cube = values[ids].reshape(shape + (values.shape[1],))
+        for n, m in enumerate(shape):
+            if m == 1:
+                continue  # phi_0 = 1: the solve is the identity
             axis_first = np.moveaxis(cube, n, 0)
             solved = np.linalg.solve(vandermonde[n][:m, :m], axis_first.reshape(m, -1))
             cube = np.moveaxis(solved.reshape(axis_first.shape), 0, n)

@@ -9,18 +9,30 @@ hierarchical details (``detail_decomposition_check``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from sguq import surrogate
 from sguq.indices import MultiIndexSet, combination_coefficients
 from sguq.knots import knots_for_level
 from sguq.surrogate import ParameterSpace
 
 
-class TensorGrid(surrogate.TensorGrid):
-    """A tensor grid that also lists its points."""
+@dataclass(frozen=True)
+class TensorGrid:
+    """Cartesian grid of one multi-index: per-dim knots in generation order."""
+
+    index: tuple[int, ...]
+    knots: tuple[np.ndarray, ...]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(k) for k in self.knots)
+
+    @property
+    def n_points(self) -> int:
+        return int(np.prod(self.shape))
 
     def points(self) -> np.ndarray:
         """(n_points, N) array in C order of the knot axes."""
@@ -42,7 +54,7 @@ def _lagrange_rows(knots: np.ndarray, v: np.ndarray) -> np.ndarray:
     return num / num.sum(axis=1, keepdims=True)
 
 
-def tensor_interpolate(grid: surrogate.TensorGrid, values: np.ndarray,
+def tensor_interpolate(grid: TensorGrid, values: np.ndarray,
                        v: np.ndarray) -> np.ndarray:
     """Evaluate the tensor-product Lagrange interpolant of one grid.
 

@@ -111,18 +111,33 @@ def test_failing_external_model_exits_3(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+PATHOLOGICAL_POSTERIOR = {"names": ["T_A", "log_h_p"],
+                          "marginals": [{"type": "gaussian", "mean": 99999.0, "std": 0.5},
+                                        {"type": "uniform", "a": -5.0, "b": -1.5}],
+                          "classification": ["identifiable", "weakly_identifiable"],
+                          "prior_box": [[1130, -5], [1450, 0]]}
+
+
 def test_pathological_posterior_exits_4(tmp_path):
     out = tmp_path / "o"
     (out / "invert").mkdir(parents=True)
-    spec = {"names": ["T_A", "log_h_p"],
-            "marginals": [{"type": "gaussian", "mean": 99999.0, "std": 0.5},
-                          {"type": "uniform", "a": -5.0, "b": -1.5}],
-            "classification": ["identifiable", "weakly_identifiable"],
-            "prior_box": [[1130, -5], [1450, 0]]}
-    (out / "invert" / "posterior.json").write_text(json.dumps(spec))
+    (out / "invert" / "posterior.json").write_text(json.dumps(PATHOLOGICAL_POSTERIOR))
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
     assert main(["forward", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 4
+
+
+def test_pathological_posterior_exits_4_before_any_solver_run(tmp_path, capsys):
+    # the T_A box holds no probability of N(99999, 0.5^2); the failing solver would exit 3
+    out = tmp_path / "o"
+    (out / "invert").mkdir(parents=True)
+    (out / "invert" / "posterior.json").write_text(json.dumps(PATHOLOGICAL_POSTERIOR))
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
+    cfg["model"] = failing_model(tmp_path)
+    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--compare-prior"]) == 4
+    assert "holds no probability" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +591,8 @@ DELETE = object()
     ("inversion", "fixed_values", {"log_h_gg": -2.0}, "'log_h_gg'", "invert"),
     ("inversion", "fixed_values", {"log_h_g": "-2"}, "inversion.fixed_values.log_h_g",
      "invert"),
+    ("inversion", "fixed_values", {"log_h_g": 5.0}, "inversion.fixed_values.log_h_g",
+     "invert"),
     ("inversion", "n_starts", 2, "inversion.n_starts", "invert"),
     ("inversion", "profile_grid", 10, "inversion.profile_grid", "invert"),
     ("forward", "kind", "tri", "forward.kind", "forward"),
@@ -588,8 +605,8 @@ DELETE = object()
     ("inversion", "flat_fraction", 0.0, "inversion.flat_fraction", "invert"),
 ], ids=["kde_grid_typo", "kde_grid_float", "unknown_qoi", "forward_not_object",
         "no_target_no_data", "missing_data_file", "n_starts_string", "gsa_w_string",
-        "fixed_value_typo", "fixed_value_string", "n_starts_2", "profile_grid_10",
-        "kind_tri", "forward_n_samples_0", "threshold_2", "negative_noise",
+        "fixed_value_typo", "fixed_value_string", "fixed_value_outside_range", "n_starts_2",
+        "profile_grid_10", "kind_tri", "forward_n_samples_0", "threshold_2", "negative_noise",
         "chi2_threshold_-1", "chi2_threshold_0", "flat_fraction_2", "flat_fraction_0"])
 def test_config_error_exits_2_before_any_solver_run(tmp_path, capsys, stage, key, value,
                                                     named, command):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sguq.indices import generate_index_set
+from sguq.indices import MultiIndexSet, generate_index_set
 from sguq.models import beam_proxy, ishigami
 from sguq.surrogate import (
     POINT_RTOL,
@@ -63,6 +63,13 @@ def test_dimension_mismatch_rejected():
     space = uniform_space([(0, 1)] * 2)
     with pytest.raises(ValueError):
         build_sparse_grid(space, generate_index_set("sum", 3, 1))
+
+
+def test_index_set_that_is_not_downward_closed_rejected():
+    space = uniform_space([(0, 1)] * 2)
+    with pytest.raises(ValueError, match="downward-closed"):
+        build_sparse_grid(space, MultiIndexSet(kind="explicit", w=2, dim=2,
+                                               indices=((1, 1), (2, 2))))
 
 
 def test_grid_degrees_form_a_lower_set_of_size_m():
@@ -222,9 +229,14 @@ def test_gaussian_dims_build_and_evaluate():
 def combination_reference(sur, v):
     """Sum of c_i times the barycentric tensor Lagrange interpolants."""
     grid = sur.grid
+    ids_of = {tuple(p): i for i, p in enumerate(grid.points.tolist())}
     out = np.zeros((len(v), sur.n_outputs))
-    for tgrid, c, ids in zip(grid.tensor_grids, grid.tensor_coeffs, grid.tensor_maps):
-        out += c * tensor_interpolate(tgrid, sur.values[ids], v)
+    for index, c in grid.coefficients.items():
+        if c != 0:
+            tgrid = make_tensor_grid(grid.space, index)
+            # nested knots: every tensor grid point is a sparse grid point, bit for bit
+            ids = [ids_of[tuple(p)] for p in tgrid.points().tolist()]
+            out += c * tensor_interpolate(tgrid, sur.values[ids], v)
     return out
 
 
