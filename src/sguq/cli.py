@@ -109,9 +109,10 @@ def _check_section(config: dict, stage: str) -> dict:
     return {**STAGE_OPTIONS[stage], **given}
 
 
-#: a checked config: the dict as read (the manifest hashes it), space, model handle, and per stage
-#: the options with defaults, outputs as ids and (invert, pipeline) the data file's Measurements
-Config = namedtuple("Config", "raw space handle stages")
+#: a checked config: the dict as read (the manifest hashes it), space, model handle, per stage
+#: the options with defaults, outputs as ids and (invert, pipeline) the data file's Measurements,
+#: and the command's run store (model-input row bytes -> outputs) that every StageModel shares
+Config = namedtuple("Config", "raw space handle stages runs")
 
 
 def _load_config(path: str, command: str) -> Config:
@@ -155,6 +156,8 @@ def _load_config(path: str, command: str) -> Config:
     _require(fixed is None or isinstance(fixed, dict), "inversion.fixed_values", "an object", fixed)
     for name, value in (fixed or {}).items():
         _require(name in space.names, "inversion.fixed_values", "keyed by dimension names", name)
+        _require(dims is None or name not in dims, "inversion.fixed_values",
+                 "keyed by dimensions left out of inversion.dims", name)
         _require(_is_number(value), f"inversion.fixed_values.{name}", "a number", value)
         dist = space.dims[space.names.index(name)].dist
         if isinstance(dist, Uniform):
@@ -169,7 +172,7 @@ def _load_config(path: str, command: str) -> Config:
             raise ConfigError("inversion requires 'target' (synthetic data) or 'data_file'")
         elif noise is None:
             raise ConfigError("synthetic data requires 'noise_std'")
-    return Config(raw, space, handle, stages)
+    return Config(raw, space, handle, stages, {})
 
 
 def _fixed_values(config: Config, kept) -> dict:
@@ -207,19 +210,23 @@ def _make_model(config: dict):
 
 
 class StageModel:
-    """Per-stage model view: name-based input projection plus eval accounting.
+    """Stage view of the model: name-based input projection plus eval accounting.
 
-    Points are keyed on the stage space's full coordinate vector, so two
-    stages never share an evaluation (each grid build is a fresh campaign)
-    while repeated points within one stage are evaluated once.
+    Every view of one command shares the command's run store, keyed on the
+    projected model-input row.  A row is sent to the model once per command:
+    points that differ only in dimensions the model does not read, and points
+    an earlier stage already ran, cost no solver run.  ``evaluations`` counts
+    the rows this view sent to the model, ``reused`` the rows it answered
+    from the store.  Separate commands do not share runs.
     """
 
-    def __init__(self, handle, space: ParameterSpace, fixed: dict | None = None):
+    def __init__(self, handle, space: ParameterSpace, runs: dict, fixed: dict | None = None):
         self.handle = handle
         self.space = space
         self._fixed = dict(fixed or {})
-        self._cache: dict[tuple, np.ndarray] = {}
+        self._runs = runs
         self.evaluations = 0
+        self.reused = 0
 
     def _project(self, batch: np.ndarray) -> np.ndarray:
         cols = []
@@ -231,19 +238,22 @@ class StageModel:
         return np.column_stack(cols)
 
     def __call__(self, batch: np.ndarray) -> np.ndarray:
-        batch = np.atleast_2d(np.asarray(batch, dtype=float))
-        keys = [tuple(row) for row in batch]
-        todo = [i for i, k in enumerate(keys) if k not in self._cache]
+        inputs = self._project(np.atleast_2d(np.asarray(batch, dtype=float)))
+        keys = [row.tobytes() for row in inputs]
+        todo = {}
+        for key, row in zip(keys, inputs):
+            if key not in self._runs:
+                todo.setdefault(key, row)
         if todo:
             try:
-                fresh = self.handle.evaluate(self._project(batch[todo]))
+                fresh = self.handle.evaluate(np.array(list(todo.values())))
             except ValueError as exc:
                 raise ExternalModelError(
                     f"model {self.handle.name!r} failed on a batch of {len(todo)}: {exc}") from exc
-            for j, i in enumerate(todo):
-                self._cache[keys[i]] = fresh[j]
+            self._runs.update(zip(todo, fresh))
             self.evaluations += len(todo)
-        return np.array([self._cache[k] for k in keys])
+        self.reused += len(keys) - len(todo)
+        return np.array([self._runs[k] for k in keys])
 
 
 def _output_ids(handle, names_or_ids, group: str, key: str):
@@ -341,7 +351,7 @@ def _write_json(path: Path, data):
 
 def run_gsa(config: Config, out: Path) -> dict:
     opts, space, handle = config.stages["gsa"], config.space, config.handle
-    model = StageModel(handle, space)
+    model = StageModel(handle, space, config.runs)
     if {"n_samples", "seed"} & set(config.raw.get("gsa", {})):
         _log("gsa: n_samples and seed are unused; the Sobol indices are exact")
     stage_dir = out / "gsa"
@@ -350,7 +360,8 @@ def run_gsa(config: Config, out: Path) -> dict:
     _log(f"gsa: building {opts['kind']} grid, w={opts['w']}, {space.n_dims} dims")
     surrogate = _build_stage_surrogate(space, opts["kind"], opts["w"], model,
                                        range(handle.n_outputs))
-    _log(f"gsa: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
+    _log(f"gsa: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations, "
+         f"{model.reused} reused")
 
     result = sobol_indices(surrogate)
     ranking = rank_parameters(result, opts["threshold"], outputs=opts["outputs"])
@@ -361,6 +372,7 @@ def run_gsa(config: Config, out: Path) -> dict:
     drop_names = [space.names[i] for i in ranking["drop"]]
     _log(f"gsa: keep {keep_names}, drop {drop_names}")
     return {"model_evaluations": model.evaluations,
+            "reused_evaluations": model.reused,
             "grid_points": surrogate.grid.n_points,
             "files": {"sobol": "gsa/sobol.json"}}
 
@@ -375,6 +387,9 @@ def _reduced_space(config: Config, out: Path) -> tuple[ParameterSpace, dict]:
         dims = [data["dim_names"][i] for i in data.get("keep", range(len(data["dim_names"])))]
         _require(set(dims) <= set(space.names), f"the keep list of {sobol_file}",
                  "names in the parameter space", dims)
+        for name in config.stages["inversion"]["fixed_values"] or {}:
+            if name in dims:
+                _log(f"inversion.fixed_values.{name} is ignored: the screening kept {name}")
     dims = list(space.names) if dims is None else dims
     kept = tuple(d for d in space.dims if d.name in dims)
     return ParameterSpace(dims=kept), _fixed_values(config, dims)
@@ -384,7 +399,7 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     opts, handle = config.stages["inversion"], config.handle
     space, fixed = _reduced_space(config, out)
     _require(space.is_all_uniform(), "the inverted dimensions", "uniform", list(space.names))
-    model = StageModel(handle, space, fixed=fixed)
+    model = StageModel(handle, space, config.runs, fixed=fixed)
     meas, target, data_evaluations = opts["data_file"], opts["target"], 0
     if meas is None:
         _require(len(target) == space.n_dims, "inversion.target",
@@ -393,10 +408,11 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
         if np.any(np.asarray(target) < box[0]) or np.any(np.asarray(target) > box[1]):
             raise ConfigError("synthetic-data target lies outside the prior box")
         # the data-generating run is bookkept separately from the grid budget
-        target_model = StageModel(handle, space, fixed=fixed)
+        target_model = StageModel(handle, space, config.runs, fixed=fixed)
         meas = synthesize_data(target_model, np.asarray(target, dtype=float),
                                opts["measurement_outputs"], opts["noise_std"], opts["seed"])
         data_evaluations = target_model.evaluations
+        model.reused += target_model.reused
     stage_dir = out / "invert"
     stage_dir.mkdir(parents=True, exist_ok=True)
 
@@ -405,7 +421,8 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     surrogate = _build_stage_surrogate(space, opts["kind"], opts["w"], model,
                                        range(handle.n_outputs))
     _write_json(stage_dir / "surrogate.json", surrogate_to_json_dict(surrogate))
-    _log(f"invert: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
+    _log(f"invert: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations, "
+         f"{model.reused} reused")
     _write_json(stage_dir / "measurements.json", meas.to_json_dict())
 
     files = {"surrogate": "invert/surrogate.json",
@@ -438,6 +455,7 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     _log(f"invert: v_map={np.round(map_result.v_map, 4).tolist()}, "
          f"sigma2_map={s2:.4g}, classes={list(posterior.classification)}")
     return {"model_evaluations": model.evaluations,
+            "reused_evaluations": model.reused,
             "data_evaluations": data_evaluations,
             "grid_points": surrogate.grid.n_points,
             "files": files}
@@ -497,11 +515,12 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     # a box that holds no probability of its marginal fails before the first solver run
     sample_posterior(posterior, 1, opts["seed"])
 
-    model = StageModel(handle, posterior.space, fixed=fixed)
+    model = StageModel(handle, posterior.space, config.runs, fixed=fixed)
     _log(f"forward: building {opts['kind']} grid, w={opts['w']} on the "
          f"{'prior' if prior_only else 'posterior'}-matched space")
     surrogate = _build_stage_surrogate(posterior.space, opts["kind"], opts["w"], model, qoi_ids)
-    _log(f"forward: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations")
+    _log(f"forward: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations, "
+         f"{model.reused} reused")
 
     files = {}
     if validate:
@@ -513,11 +532,13 @@ def run_forward(config: Config, out: Path, validate: bool = False,
 
     if compare:
         if prior_surrogate is None:
-            prior_model = StageModel(handle, prior_space, fixed=fixed)
+            prior_model = StageModel(handle, prior_space, config.runs, fixed=fixed)
             prior_surrogate = _build_stage_surrogate(prior_space, opts["kind"], opts["w"],
                                                      prior_model, qoi_ids)
             model.evaluations += prior_model.evaluations
-            _log(f"forward: built a fresh prior surrogate (+{prior_model.evaluations} evaluations)")
+            model.reused += prior_model.reused
+            _log(f"forward: built a fresh prior surrogate (+{prior_model.evaluations} evaluations, "
+                 f"{prior_model.reused} reused)")
         else:
             _log("forward: prior propagation reuses the inversion-stage surrogate")
         comparison = uncertainty_bands(prior_spec, prior_surrogate, posterior,
@@ -539,6 +560,7 @@ def run_forward(config: Config, out: Path, validate: bool = False,
         files["densities"] = "forward/densities.json"
     _log(f"forward: bands written for {comparison.n_locations} locations, n={opts['n_samples']}")
     return {"model_evaluations": model.evaluations,
+            "reused_evaluations": model.reused,
             "grid_points": surrogate.grid.n_points,
             "n_samples": int(opts["n_samples"]),
             "files": files}

@@ -315,13 +315,13 @@ def test_criterion_10_pipeline_accounting_determinism(tmp_path, monkeypatch):
     manifest = json.loads((out1 / "manifest.json").read_text())
     per_stage = [manifest["stages"][s]["model_evaluations"]
                  for s in ("gsa", "invert", "forward")]
-    assert per_stage == [27, 25, 25]
-    assert manifest["total_model_evaluations"] == 77
+    assert per_stage == [9, 16, 25]
+    assert manifest["total_model_evaluations"] == 50
 
     assert cli_main(["pipeline", "--config", str(cfg), "--out", str(out2),
                      "--validate", "--compare-prior"]) == 0
     validated = json.loads((out2 / "manifest.json").read_text())
-    assert validated["total_model_evaluations"] == 177
+    assert validated["total_model_evaluations"] == 150
 
     assert cli_main(["pipeline", "--config", str(cfg), "--out", str(out3)]) == 0
     files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
@@ -332,6 +332,6 @@ def test_criterion_10_pipeline_accounting_determinism(tmp_path, monkeypatch):
 
     rows = list(csv.DictReader((out2 / "forward" / "bands.csv").read_text().splitlines()))
     assert len(rows) == 120
-    elapsed = report(10, "pipeline budgets 77 and 177 evaluations; reruns "
+    elapsed = report(10, "pipeline budgets 50 and 150 evaluations; reruns "
                          "byte-identical", t0)
     assert elapsed < 300.0

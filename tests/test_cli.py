@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sguq.cli import main
+from sguq.cli import StageModel, main
 from sguq.knots import symmetric_leja
+from sguq.surrogate import ParameterSpace, Uniform
 
 
 def beam_config(**overrides):
@@ -155,7 +156,7 @@ def test_gsa_beam_drops_only_inert_dimension(tmp_path):
     assert keep == ["T_A", "log_h_p"] and drop == ["log_h_g"]
     # the inert dimension has exactly zero influence through the surrogate
     assert all(v["total"][1] < 1e-10 for v in sobol["outputs"].values())
-    assert read_manifest(out)["stages"]["gsa"]["model_evaluations"] == 27
+    assert read_manifest(out)["stages"]["gsa"]["model_evaluations"] == 9
 
 
 def test_gsa_output_exclusion_changes_ranking(tmp_path):
@@ -410,10 +411,10 @@ def test_pipeline_accounting_and_determinism(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["pipeline", "--config", cfg_path, "--out", str(out1)]) == 0
     man = read_manifest(out1)
-    assert man["stages"]["gsa"]["model_evaluations"] == 27
-    assert man["stages"]["invert"]["model_evaluations"] == 25
+    assert man["stages"]["gsa"]["model_evaluations"] == 9
+    assert man["stages"]["invert"]["model_evaluations"] == 16
     assert man["stages"]["forward"]["model_evaluations"] == 25
-    assert man["total_model_evaluations"] == 77
+    assert man["total_model_evaluations"] == 50
     assert man["data_evaluations"] == 1
 
     assert main(["pipeline", "--config", cfg_path, "--out", str(out2)]) == 0
@@ -424,13 +425,70 @@ def test_pipeline_accounting_and_determinism(tmp_path):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
+class CountingModel:
+    """Reads only T_A; records every batch it is sent."""
+    name, input_names, output_names = "counting", ("T_A",), ("f",)
+
+    def __init__(self):
+        self.batches = []
+
+    def evaluate(self, batch):
+        self.batches.append(batch.copy())
+        return 2.0 * batch
+
+
+def test_stage_models_of_one_run_store_send_each_model_input_once():
+    handle, runs = CountingModel(), {}
+    wide = StageModel(handle, ParameterSpace.from_pairs(
+        [("T_A", Uniform(1130.0, 1450.0)), ("z", Uniform(0.0, 1.0))]), runs)
+    # two stage points, one projected model input
+    assert wide(np.array([[1200.0, 0.0], [1200.0, 1.0]])).tolist() == [[2400.0], [2400.0]]
+    assert [b.tolist() for b in handle.batches] == [[[1200.0]]]
+    assert (wide.evaluations, wide.reused) == (1, 1)
+    # a second stage on the same store sends only the input not yet run
+    narrow = StageModel(handle, ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0))]),
+                        runs)
+    assert narrow(np.array([[1200.0], [1300.0]])).tolist() == [[2400.0], [2600.0]]
+    assert [b.tolist() for b in handle.batches] == [[[1200.0]], [[1300.0]]]
+    assert (narrow.evaluations, narrow.reused) == (1, 1)
+    assert narrow(np.array([[1300.0], [1200.0]])).tolist() == [[2600.0], [2400.0]]
+    assert len(handle.batches) == 2 and (narrow.evaluations, narrow.reused) == (1, 3)
+
+
+def test_pipeline_and_separate_stage_commands_write_the_same_files(tmp_path):
+    # the pipeline's inversion reuses the 9 GSA points with log_h_g at its midpoint;
+    # a separate invert command has its own run store and reruns them
+    cfg_path = write_config(tmp_path, beam_config())
+    joined, split = tmp_path / "joined", tmp_path / "split"
+    assert main(["pipeline", "--config", cfg_path, "--out", str(joined)]) == 0
+    invert = read_manifest(joined)["stages"]["invert"]
+    assert (invert["model_evaluations"], invert["reused_evaluations"]) == (16, 9)
+    for command in ("gsa", "invert", "forward"):
+        assert main([command, "--config", cfg_path, "--out", str(split)]) == 0
+        if command == "invert":
+            invert = read_manifest(split)["stages"]["invert"]
+            assert (invert["model_evaluations"], invert["reused_evaluations"]) == (25, 0)
+    files = sorted(p.relative_to(joined) for p in joined.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(split) for p in split.rglob("*") if p.is_file())
+    for rel in files:
+        if rel.name != "manifest.json":
+            assert (joined / rel).read_bytes() == (split / rel).read_bytes(), rel
+
+
+def test_fixed_value_of_a_screening_kept_dim_is_logged_as_ignored(tmp_path, capsys):
+    cfg = beam_config(inversion={"fixed_values": {"T_A": 1200.0}})
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert "inversion.fixed_values.T_A is ignored" in capsys.readouterr().err
+
+
 def test_pipeline_with_validation_adds_100_evaluations(tmp_path):
     cfg_path = write_config(tmp_path, beam_config())
     out = tmp_path / "o"
     assert main(["pipeline", "--config", cfg_path, "--out", str(out),
                  "--validate", "--compare-prior"]) == 0
     man = read_manifest(out)
-    assert man["total_model_evaluations"] == 177
+    assert man["total_model_evaluations"] == 150
     rows = list(csv.DictReader((out / "forward" / "bands.csv").read_text().splitlines()))
     assert len(rows) == 120
     narrower = sum(
@@ -593,6 +651,7 @@ DELETE = object()
      "invert"),
     ("inversion", "fixed_values", {"log_h_g": 5.0}, "inversion.fixed_values.log_h_g",
      "invert"),
+    ("inversion", "fixed_values", {"T_A": 1200.0}, "'T_A'", "invert"),
     ("inversion", "n_starts", 2, "inversion.n_starts", "invert"),
     ("inversion", "profile_grid", 10, "inversion.profile_grid", "invert"),
     ("forward", "kind", "tri", "forward.kind", "forward"),
@@ -605,8 +664,8 @@ DELETE = object()
     ("inversion", "flat_fraction", 0.0, "inversion.flat_fraction", "invert"),
 ], ids=["kde_grid_typo", "kde_grid_float", "unknown_qoi", "forward_not_object",
         "no_target_no_data", "missing_data_file", "n_starts_string", "gsa_w_string",
-        "fixed_value_typo", "fixed_value_string", "fixed_value_outside_range", "n_starts_2",
-        "profile_grid_10", "kind_tri", "forward_n_samples_0", "threshold_2", "negative_noise",
+        "fixed_value_typo", "fixed_value_string", "fixed_value_outside_range",
+        "fixed_value_of_inverted_dim", "n_starts_2", "profile_grid_10", "kind_tri", "forward_n_samples_0", "threshold_2", "negative_noise",
         "chi2_threshold_-1", "chi2_threshold_0", "flat_fraction_2", "flat_fraction_0"])
 def test_config_error_exits_2_before_any_solver_run(tmp_path, capsys, stage, key, value,
                                                     named, command):
