@@ -240,10 +240,7 @@ class StageModel:
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         inputs = self._project(np.atleast_2d(np.asarray(batch, dtype=float)))
         keys = [row.tobytes() for row in inputs]
-        todo = {}
-        for key, row in zip(keys, inputs):
-            if key not in self._runs:
-                todo.setdefault(key, row)
+        todo = {key: row for key, row in zip(keys, inputs) if key not in self._runs}
         if todo:
             try:
                 fresh = self.handle.evaluate(np.array(list(todo.values())))
