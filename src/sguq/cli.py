@@ -110,9 +110,11 @@ def _check_section(config: dict, stage: str) -> dict:
 
 
 #: a checked config: the dict as read (the manifest hashes it), space, model handle, per stage
-#: the options with defaults, outputs as ids and (invert, pipeline) the data file's Measurements,
-#: and the command's run store (model-input row bytes -> outputs) that every StageModel shares
-Config = namedtuple("Config", "raw space handle stages runs")
+#: the options with defaults, outputs as ids and (invert, pipeline) the data file's Measurements;
+#: the value of every dimension outside a stage (its inversion.fixed_values entry, else its
+#: distribution's center: a uniform's midpoint, a Gaussian's mean), and the command's run store
+#: (model-input row bytes -> outputs) that every StageModel shares
+Config = namedtuple("Config", "raw space handle stages fixed runs")
 
 
 def _load_config(path: str, command: str) -> Config:
@@ -131,6 +133,7 @@ def _load_config(path: str, command: str) -> Config:
     _require(not missing, "model inputs", "names in the parameter space", missing)
     stages = {stage: _check_section(raw, stage) for stage in STAGE_OPTIONS}
     gsa, inv, fwd = stages.values()
+    dists = {d.name: d.dist for d in space.dims}
 
     excluded = (_output_ids(handle, gsa["exclude_outputs"], "none", "gsa.exclude_outputs")
                 if gsa["exclude_outputs"] else [])
@@ -143,7 +146,7 @@ def _load_config(path: str, command: str) -> Config:
     fwd["qoi_outputs"] = _output_ids(handle, fwd["qoi_outputs"], "strain", "forward.qoi_outputs")
     dims, target, noise, fixed = (inv[k] for k in ("dims", "target", "noise_std", "fixed_values"))
     _require(dims is None or isinstance(dims, list) and dims
-             and all(d in space.names for d in dims), "inversion.dims",
+             and all(d in dists for d in dims), "inversion.dims",
              f"a non-empty list of names in {list(space.names)}", dims)
     _require(target is None or isinstance(target, list) and all(map(_is_number, target)),
              "inversion.target", "a list of numbers", target)
@@ -154,37 +157,29 @@ def _load_config(path: str, command: str) -> Config:
     _require(noise is None or _is_number(noise) and noise > 0, "inversion.noise_std",
              "a number > 0", noise)
     _require(fixed is None or isinstance(fixed, dict), "inversion.fixed_values", "an object", fixed)
-    for name, value in (fixed or {}).items():
-        _require(name in space.names, "inversion.fixed_values", "keyed by dimension names", name)
+    fixed = fixed or {}
+    for name, value in fixed.items():
+        _require(name in dists, "inversion.fixed_values", "keyed by dimension names", name)
         _require(dims is None or name not in dims, "inversion.fixed_values",
                  "keyed by dimensions left out of inversion.dims", name)
         _require(_is_number(value), f"inversion.fixed_values.{name}", "a number", value)
-        dist = space.dims[space.names.index(name)].dist
+        dist = dists[name]
         if isinstance(dist, Uniform):
             _require(dist.a <= value <= dist.b, f"inversion.fixed_values.{name}",
                      f"in [{dist.a}, {dist.b}]", value)
 
     # the screening stage may run before the measurements exist
     if command in ("invert", "pipeline"):
+        _require(dims is None or all(isinstance(dists[d], Uniform) for d in dims),
+                 "inversion.dims", "names of uniform dimensions", dims)
         if inv["data_file"] is not None:
             inv["data_file"] = _read_data_file(inv["data_file"], handle)
         elif target is None:
             raise ConfigError("inversion requires 'target' (synthetic data) or 'data_file'")
         elif noise is None:
             raise ConfigError("synthetic data requires 'noise_std'")
-    return Config(raw, space, handle, stages, {})
-
-
-def _fixed_values(config: Config, kept) -> dict:
-    """Values of the dims left out of ``kept``: configured, else the interval midpoint."""
-    configured = config.stages["inversion"]["fixed_values"] or {}
-    fixed = {}
-    for d in config.space.dims:
-        if d.name not in kept:
-            if not isinstance(d.dist, Uniform):
-                raise ConfigError(f"cannot fix non-uniform dimension {d.name!r}")
-            fixed[d.name] = configured.get(d.name, d.dist.center)
-    return fixed
+    return Config(raw, space, handle, stages,
+                  {name: fixed.get(name, dist.center) for name, dist in dists.items()}, {})
 
 
 def _make_model(config: dict):
@@ -212,6 +207,8 @@ def _make_model(config: dict):
 class StageModel:
     """Stage view of the model: name-based input projection plus eval accounting.
 
+    A model input that is a dimension of the stage ``space`` is read from the
+    stage point; every other input is held at its ``config.fixed`` value.
     Every view of one command shares the command's run store, keyed on the
     projected model-input row.  A row is sent to the model once per command:
     points that differ only in dimensions the model does not read, and points
@@ -220,11 +217,11 @@ class StageModel:
     from the store.  Separate commands do not share runs.
     """
 
-    def __init__(self, handle, space: ParameterSpace, runs: dict, fixed: dict | None = None):
-        self.handle = handle
+    def __init__(self, config: Config, space: ParameterSpace):
+        self.handle = config.handle
         self.space = space
-        self._fixed = dict(fixed or {})
-        self._runs = runs
+        self._fixed = config.fixed
+        self._runs = config.runs
         self.evaluations = 0
         self.reused = 0
 
@@ -348,7 +345,7 @@ def _write_json(path: Path, data):
 
 def run_gsa(config: Config, out: Path) -> dict:
     opts, space, handle = config.stages["gsa"], config.space, config.handle
-    model = StageModel(handle, space, config.runs)
+    model = StageModel(config, space)
     if {"n_samples", "seed"} & set(config.raw.get("gsa", {})):
         _log("gsa: n_samples and seed are unused; the Sobol indices are exact")
     stage_dir = out / "gsa"
@@ -374,8 +371,11 @@ def run_gsa(config: Config, out: Path) -> dict:
             "files": {"sobol": "gsa/sobol.json"}}
 
 
-def _reduced_space(config: Config, out: Path) -> tuple[ParameterSpace, dict]:
-    """Inversion-stage space: configured dims, else the screening keep list, else all."""
+def _reduced_space(config: Config, out: Path) -> ParameterSpace:
+    """Inversion-stage space: configured dims, else the screening keep list, else all.
+
+    The dimensions left out are held at their ``config.fixed`` values.
+    """
     space, dims = config.space, config.stages["inversion"]["dims"]
     sobol_file = out / "gsa" / "sobol.json"
     if dims is None and sobol_file.exists():
@@ -388,28 +388,26 @@ def _reduced_space(config: Config, out: Path) -> tuple[ParameterSpace, dict]:
             if name in dims:
                 _log(f"inversion.fixed_values.{name} is ignored: the screening kept {name}")
     dims = list(space.names) if dims is None else dims
-    kept = tuple(d for d in space.dims if d.name in dims)
-    return ParameterSpace(dims=kept), _fixed_values(config, dims)
+    return ParameterSpace(dims=tuple(d for d in space.dims if d.name in dims))
 
 
 def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     opts, handle = config.stages["inversion"], config.handle
-    space, fixed = _reduced_space(config, out)
+    space = _reduced_space(config, out)
     _require(space.is_all_uniform(), "the inverted dimensions", "uniform", list(space.names))
-    model = StageModel(handle, space, config.runs, fixed=fixed)
-    meas, target, data_evaluations = opts["data_file"], opts["target"], 0
+    model = StageModel(config, space)
+    meas, target = opts["data_file"], opts["target"]
     if meas is None:
         _require(len(target) == space.n_dims, "inversion.target",
                  f"{space.n_dims} long, one value per inverted dimension", target)
         box = space.uniform_box()
         if np.any(np.asarray(target) < box[0]) or np.any(np.asarray(target) > box[1]):
             raise ConfigError("synthetic-data target lies outside the prior box")
-        # the data-generating run is bookkept separately from the grid budget
-        target_model = StageModel(handle, space, config.runs, fixed=fixed)
-        meas = synthesize_data(target_model, np.asarray(target, dtype=float),
+        meas = synthesize_data(model, np.asarray(target, dtype=float),
                                opts["measurement_outputs"], opts["noise_std"], opts["seed"])
-        data_evaluations = target_model.evaluations
-        model.reused += target_model.reused
+    # the data-generating run is bookkept separately from the grid budget
+    data_evaluations, model.evaluations = model.evaluations, 0
+    fixed = {name: v for name, v in config.fixed.items() if name not in space.names}
     stage_dir = out / "invert"
     stage_dir.mkdir(parents=True, exist_ok=True)
 
@@ -493,15 +491,14 @@ def run_forward(config: Config, out: Path, validate: bool = False,
 
     # every input file is read and checked before the first solver run
     if prior_only:
-        space, fixed = _reduced_space(config, out)
-        posterior = PosteriorSpec.from_prior(space)
+        posterior = PosteriorSpec.from_prior(_reduced_space(config, out))
     else:
         posterior_file = opts["posterior_file"] or str(out / "invert" / "posterior.json")
         posterior = _read_posterior(posterior_file, config.space)
-        fixed = _fixed_values(config, posterior.space.names)
     compare = compare_prior and not prior_only
     if compare:
-        prior_space, _ = _reduced_space(config, out)
+        # one model view serves both: the prior space has the posterior's names
+        prior_space = _reduced_space(config, out)
         if prior_space.names != posterior.space.names:
             raise ConfigError("prior space dims do not match the posterior spec")
         prior_spec = PosteriorSpec.from_prior(prior_space)
@@ -512,7 +509,7 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     # a box that holds no probability of its marginal fails before the first solver run
     sample_posterior(posterior, 1, opts["seed"])
 
-    model = StageModel(handle, posterior.space, config.runs, fixed=fixed)
+    model = StageModel(config, posterior.space)
     _log(f"forward: building {opts['kind']} grid, w={opts['w']} on the "
          f"{'prior' if prior_only else 'posterior'}-matched space")
     surrogate = _build_stage_surrogate(posterior.space, opts["kind"], opts["w"], model, qoi_ids)
@@ -529,13 +526,11 @@ def run_forward(config: Config, out: Path, validate: bool = False,
 
     if compare:
         if prior_surrogate is None:
-            prior_model = StageModel(handle, prior_space, config.runs, fixed=fixed)
+            ran, reused = model.evaluations, model.reused
             prior_surrogate = _build_stage_surrogate(prior_space, opts["kind"], opts["w"],
-                                                     prior_model, qoi_ids)
-            model.evaluations += prior_model.evaluations
-            model.reused += prior_model.reused
-            _log(f"forward: built a fresh prior surrogate (+{prior_model.evaluations} evaluations, "
-                 f"{prior_model.reused} reused)")
+                                                     model, qoi_ids)
+            _log(f"forward: built a fresh prior surrogate (+{model.evaluations - ran} evaluations, "
+                 f"{model.reused - reused} reused)")
         else:
             _log("forward: prior propagation reuses the inversion-stage surrogate")
         comparison = uncertainty_bands(prior_spec, prior_surrogate, posterior,

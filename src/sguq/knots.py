@@ -33,6 +33,8 @@ smaller coordinate, and is numerically deterministic.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -80,13 +82,16 @@ def _argmax_per_gap(logf, dlogf, edges: np.ndarray, tol: float) -> float:
 
 
 class _GrowingSequence:
-    """Greedy Leja sequence that extends lazily and caches every prefix."""
+    """Greedy Leja sequence on [lo, hi] that extends lazily and caches every prefix.
 
-    def __init__(self, seed_points, center, lo, hi, weighted):
-        self._points = list(seed_points)
-        self._center = center
+    The uniform sequence starts hi, lo, center; the weighted (Gaussian) one
+    starts at the center, the density peak.
+    """
+
+    def __init__(self, lo: float, hi: float, weighted: bool):
+        self._center = 0.5 * (lo + hi)
+        self._points = [self._center] if weighted else [hi, lo, self._center]
         self._lo = lo
-        self._hi = hi
         self._weighted = weighted
 
     def prefix(self, n: int) -> np.ndarray:
@@ -113,30 +118,10 @@ class _GrowingSequence:
         self._points.append(self._center - (new - self._center))
 
 
-# cache of growing sequences keyed by interval; the standard Gaussian has one
-_UNIFORM_SEQUENCES: dict[tuple[float, float], _GrowingSequence] = {}
-_GAUSSIAN_SEQUENCE: _GrowingSequence | None = None
-
-
-def _uniform_sequence(a: float, b: float) -> _GrowingSequence:
-    key = (float(a), float(b))
-    seq = _UNIFORM_SEQUENCES.get(key)
-    if seq is None:
-        mid = 0.5 * (a + b)
-        seq = _GrowingSequence([b, a, mid], center=mid, lo=a, hi=b, weighted=False)
-        _UNIFORM_SEQUENCES[key] = seq
-    return seq
-
-
-def _gaussian_sequence() -> _GrowingSequence:
-    global _GAUSSIAN_SEQUENCE
-    if _GAUSSIAN_SEQUENCE is None:
-        _GAUSSIAN_SEQUENCE = _GrowingSequence(
-            [0.0], center=0.0,
-            lo=-GAUSSIAN_SEARCH_HALFWIDTH, hi=GAUSSIAN_SEARCH_HALFWIDTH,
-            weighted=True,
-        )
-    return _GAUSSIAN_SEQUENCE
+@functools.cache
+def _sequence(lo: float, hi: float, weighted: bool) -> _GrowingSequence:
+    """The one growing sequence per interval and family; the Gaussian one is standard."""
+    return _GrowingSequence(lo, hi, weighted)
 
 
 def symmetric_leja(n: int, a: float, b: float) -> np.ndarray:
@@ -145,7 +130,7 @@ def symmetric_leja(n: int, a: float, b: float) -> np.ndarray:
         raise ValueError(f"point count must be >= 1, got {n}")
     if not a < b:
         raise ValueError(f"interval requires a < b, got [{a}, {b}]")
-    return _uniform_sequence(a, b).prefix(n)
+    return _sequence(float(a), float(b), False).prefix(n)
 
 
 def symmetric_gaussian_leja(n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
@@ -154,7 +139,8 @@ def symmetric_gaussian_leja(n: int, mean: float = 0.0, std: float = 1.0) -> np.n
         raise ValueError(f"point count must be >= 1, got {n}")
     if std <= 0:
         raise ValueError(f"standard deviation must be > 0, got {std}")
-    return mean + std * _gaussian_sequence().prefix(n)
+    return mean + std * _sequence(-GAUSSIAN_SEARCH_HALFWIDTH, GAUSSIAN_SEARCH_HALFWIDTH,
+                                  True).prefix(n)
 
 
 def knots_for_level(dist, level: int) -> np.ndarray:

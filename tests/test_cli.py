@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sguq.cli import StageModel, main
+from sguq.cli import Config, StageModel, _load_config, main
 from sguq.knots import symmetric_leja
 from sguq.surrogate import ParameterSpace, Uniform
 
@@ -438,16 +438,17 @@ class CountingModel:
 
 
 def test_stage_models_of_one_run_store_send_each_model_input_once():
-    handle, runs = CountingModel(), {}
-    wide = StageModel(handle, ParameterSpace.from_pairs(
-        [("T_A", Uniform(1130.0, 1450.0)), ("z", Uniform(0.0, 1.0))]), runs)
+    handle = CountingModel()
+    space = ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0)), ("z", Uniform(0.0, 1.0))])
+    config = Config(raw={}, space=space, handle=handle, stages={},
+                    fixed={"T_A": 1290.0, "z": 0.5}, runs={})
+    wide = StageModel(config, space)
     # two stage points, one projected model input
     assert wide(np.array([[1200.0, 0.0], [1200.0, 1.0]])).tolist() == [[2400.0], [2400.0]]
     assert [b.tolist() for b in handle.batches] == [[[1200.0]]]
     assert (wide.evaluations, wide.reused) == (1, 1)
     # a second stage on the same store sends only the input not yet run
-    narrow = StageModel(handle, ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0))]),
-                        runs)
+    narrow = StageModel(config, ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0))]))
     assert narrow(np.array([[1200.0], [1300.0]])).tolist() == [[2400.0], [2600.0]]
     assert [b.tolist() for b in handle.batches] == [[[1200.0]], [[1300.0]]]
     assert (narrow.evaluations, narrow.reused) == (1, 1)
@@ -480,6 +481,32 @@ def test_fixed_value_of_a_screening_kept_dim_is_logged_as_ignored(tmp_path, caps
     assert main(["pipeline", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 0
     assert "inversion.fixed_values.T_A is ignored" in capsys.readouterr().err
+
+
+def test_config_holds_each_dimension_at_its_fixed_value_else_its_center(tmp_path):
+    cfg = beam_config(inversion={"fixed_values": {"log_h_g": -1.0}})
+    cfg["space"][2] = {"name": "log_h_p", "distribution": "gaussian", "mean": -2.0, "std": 0.5}
+    config = _load_config(write_config(tmp_path, cfg), "gsa")
+    assert config.fixed == {"T_A": 1290.0, "log_h_g": -1.0, "log_h_p": -2.0}
+
+
+def test_gaussian_dimension_screened_out_is_held_at_its_mean(tmp_path):
+    # beam_proxy does not read log_h_g; N(-2.5, 0.5^2) has the uniform midpoint as its mean,
+    # so the inversion and forward stages see the same model inputs as the uniform run
+    outs = {}
+    for name, log_h_g in [("uniform", beam_config()["space"][1]),
+                          ("gaussian", {"name": "log_h_g", "distribution": "gaussian",
+                                        "mean": -2.5, "std": 0.5})]:
+        cfg = beam_config(forward={"n_samples": 2000})
+        cfg["space"][1] = log_h_g
+        outs[name] = tmp_path / name
+        assert main(["pipeline", "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                     "--out", str(outs[name]), "--validate", "--compare-prior"]) == 0, name
+    files = sorted(p.relative_to(outs["uniform"]) for stage in ("invert", "forward")
+                   for p in (outs["uniform"] / stage).iterdir())
+    assert len(files) == 7
+    for rel in files:
+        assert (outs["uniform"] / rel).read_bytes() == (outs["gaussian"] / rel).read_bytes(), rel
 
 
 def test_pipeline_with_validation_adds_100_evaluations(tmp_path):
@@ -662,11 +689,15 @@ DELETE = object()
     ("inversion", "chi2_threshold", 0, "inversion.chi2_threshold", "invert"),
     ("inversion", "flat_fraction", 2.0, "inversion.flat_fraction", "invert"),
     ("inversion", "flat_fraction", 0.0, "inversion.flat_fraction", "invert"),
+    # inversion.dims [T_A, log_h_p] names a Gaussian dimension
+    ("space", None, [{"name": "T_A", "distribution": "gaussian", "mean": 1300.0, "std": 40.0}]
+     + beam_config()["space"][1:], "inversion.dims", "invert"),
 ], ids=["kde_grid_typo", "kde_grid_float", "unknown_qoi", "forward_not_object",
         "no_target_no_data", "missing_data_file", "n_starts_string", "gsa_w_string",
         "fixed_value_typo", "fixed_value_string", "fixed_value_outside_range",
         "fixed_value_of_inverted_dim", "n_starts_2", "profile_grid_10", "kind_tri", "forward_n_samples_0", "threshold_2", "negative_noise",
-        "chi2_threshold_-1", "chi2_threshold_0", "flat_fraction_2", "flat_fraction_0"])
+        "chi2_threshold_-1", "chi2_threshold_0", "flat_fraction_2", "flat_fraction_0",
+        "gaussian_inverted_dim"])
 def test_config_error_exits_2_before_any_solver_run(tmp_path, capsys, stage, key, value,
                                                     named, command):
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
