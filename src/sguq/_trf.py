@@ -55,9 +55,13 @@ from math import copysign
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import norm
 
 EPS = np.finfo(float).eps
+
+
+def norm(x, ord=None):
+    """numpy.linalg.norm of a 1-D float vector by numpy's own definition, minus its dispatch."""
+    return np.abs(x).max() if ord == np.inf else np.sqrt(x.dot(x))
 
 
 class TrfResult(NamedTuple):

@@ -126,15 +126,9 @@ def synthesize_data(model, target, location_ids, noise_std: float, seed: int) ->
                         noise_std=noise_std, seed=seed, target=target)
 
 
-def _surrogate_at(surrogate: Surrogate, meas: Measurements, v, warn_outside=True) -> np.ndarray:
-    out = surrogate.evaluate(v, warn_outside=warn_outside)
-    return out[..., list(meas.location_ids)]
-
-
 def least_squares(surrogate: Surrogate, meas: Measurements, v, warn_outside=True) -> float | np.ndarray:
     """Sum of squared misfits between the data and the surrogate at v."""
-    pred = _surrogate_at(surrogate, meas, v, warn_outside=warn_outside)
-    misfit = meas.values - pred
+    misfit = meas.values - surrogate.evaluate(v, warn_outside=warn_outside)[..., list(meas.location_ids)]
     ls = np.sum(misfit * misfit, axis=-1)
     return float(ls) if np.ndim(v) == 1 else ls
 

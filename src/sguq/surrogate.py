@@ -16,8 +16,9 @@ that is orthonormal per dimension: Legendre polynomials for a uniform
 parameter, probabilists' Hermite polynomials for a Gaussian one.  They are
 computed tensor grid by tensor grid, by solving small 1-D Vandermonde systems
 along each axis, and summed with the combination coefficients.  Evaluation,
-Jacobians and Hessians all come from three-term-recurrence tables of the 1-D
-basis.
+Jacobians, Hessians and those Vandermonde matrices all run one three-term
+recurrence per dimension, on constants fixed when the surrogate is built: on
+a Python float for one point, on a column for a batch.
 
 The surrogate of a P-valued model stores one value vector per global grid
 point, so any number of outputs share a single set of model runs.
@@ -25,6 +26,7 @@ point, so any number of outputs share a single set of model runs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -208,38 +210,46 @@ def _assert_separated(sequences, scales: np.ndarray):
                 f"two knots of dimension {n} are within {DEDUP_RTOL} relative distance")
 
 
-def _basis_tables(dists, X: np.ndarray, degree: int, derivatives: int = 0) -> np.ndarray:
-    """Orthonormal 1-D bases phi_0..phi_degree of marginals and their derivatives.
+def _recurrence(dist, degree: int) -> tuple[float, float, list[float]]:
+    """Center, half-width and b_1..b_degree of a marginal's orthonormal 1-D basis.
 
-    X holds one column per marginal in ``dists``; the result has shape
-    (derivatives + 1, len(X), len(dists), degree + 1).  On the standardized
-    variable t each basis obeys t phi_k = b_{k+1} phi_{k+1} + b_k phi_{k-1},
-    with b_k = k / sqrt(4k^2 - 1) (Legendre, uniform on [-1, 1]) or
-    b_k = sqrt(k) (probabilists' Hermite); differentiating r times adds
-    r phi_k^(r-1) to the left-hand side.
+    On t = (x - center) / half, t phi_k = b_{k+1} phi_{k+1} + b_k phi_{k-1} with
+    b_k = k / sqrt(4k^2 - 1) (Legendre) or b_k = sqrt(k) (probabilists' Hermite).
     """
-    k = np.arange(1, degree + 1, dtype=float)
-    uniform = [isinstance(d, Uniform) for d in dists]
-    center = np.array([d.center for d in dists])
-    half = np.array([0.5 * d.scale if u else d.scale for d, u in zip(dists, uniform)])
-    b = np.array([k / np.sqrt(4 * k * k - 1) if u else np.sqrt(k) for u in uniform])
-    t = (np.asarray(X, dtype=float) - center) / half
-    out = np.zeros((derivatives + 1,) + t.shape + (degree + 1,))
-    out[0, ..., 0] = 1.0
-    # derivative orders 1..derivatives, broadcast over the points and marginals
-    orders = np.arange(1.0, derivatives + 1).reshape((-1,) + (1,) * t.ndim)
-    for j in range(degree):
-        nxt = t * out[..., j]
-        nxt[1:] += orders * out[:-1, ..., j]
-        if j:
-            nxt -= b[:, j - 1] * out[..., j - 1]
-        out[..., j + 1] = nxt / b[:, j]
+    ks = range(1, degree + 1)
+    if isinstance(dist, Uniform):
+        return dist.center, 0.5 * dist.scale, [k / math.sqrt(4 * k * k - 1) for k in ks]
+    return dist.center, dist.scale, [math.sqrt(k) for k in ks]
+
+
+def _basis(x, recurrence, derivatives: int = 0) -> np.ndarray:
+    """phi_0..phi_K of a marginal's `_recurrence` and their derivatives at x, a float or 1-D array.
+
+    The result has shape (derivatives + 1,) + shape(x) + (K + 1,).  Differentiating
+    the recurrence r times adds r phi_k^(r-1) to its left-hand side.  A float takes
+    the same IEEE operations, in the same order, as each element of an array.
+    """
+    center, half, b = recurrence
+    t = (x - center) / half
+    one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    # phi[r][k]: the r-th derivative in t of phi_k
+    phi = [[one if r == 0 else 0.0 * one] + [None] * len(b) for r in range(derivatives + 1)]
+    for j, bj in enumerate(b):
+        for r, row in enumerate(phi):
+            nxt = t * row[j]
+            if r:
+                nxt += r * phi[r - 1][j]
+            if j:
+                nxt -= b[j - 1] * row[j - 1]
+            row[j + 1] = nxt / bj
+    scale = 1.0
     for r in range(1, derivatives + 1):
-        out[r] /= half[:, None] ** r
-    return out
+        scale *= half  # half ** r as numpy squares it; pow() may round otherwise
+        phi[r] = [p / scale for p in phi[r]]
+    return np.array(phi).swapaxes(1, -1)
 
 
-def _modal_coefficients(grid: SparseGrid, values: np.ndarray) -> np.ndarray:
+def _modal_coefficients(grid: SparseGrid, values: np.ndarray, recurrences) -> np.ndarray:
     """Coefficients of the combination-technique interpolant in the modal basis.
 
     Row i belongs to the degree multi-index grid.degrees[i].  The tensor grid
@@ -251,12 +261,9 @@ def _modal_coefficients(grid: SparseGrid, values: np.ndarray) -> np.ndarray:
     three digits.
     """
     deg = grid.degrees
-    # knots are nested, so each grid's Vandermonde is a leading block of the longest
-    vandermonde = []
-    for n, d in enumerate(grid.space.dims):
-        knots = np.empty(deg[:, n].max() + 1)
-        knots[deg[:, n]] = grid.points[:, n]
-        vandermonde.append(_basis_tables([d.dist], knots[:, None], len(knots) - 1)[0, :, 0])
+    # each dimension's knots in degree order; nested, so each grid's Vandermonde is a leading block
+    vandermonde = [_basis(grid.points[np.unique(deg[:, n], return_index=True)[1], n], rec)[0]
+                   for n, rec in enumerate(recurrences)]
     out = np.zeros((grid.n_points, values.shape[1]))
     for idx, c in grid.coefficients.items():
         if c == 0:
@@ -282,9 +289,10 @@ class Surrogate:
 
     ``values`` has shape (M, P): M global points, P outputs.  On construction
     the values are converted once into ``modal_coefficients`` (M, P), row i
-    for the degree multi-index ``grid.degrees[i]``; every evaluation uses
-    them.  The instance is treated as immutable once constructed; evaluation
-    is reentrant.
+    for the degree multi-index ``grid.degrees[i]``, and each dimension's
+    recurrence constants (center, half-width or std, b_k up to its top degree)
+    are fixed; every evaluation uses both.  The instance is treated as
+    immutable once constructed; evaluation is reentrant.
     """
 
     grid: SparseGrid
@@ -308,7 +316,9 @@ class Surrogate:
             raise ValueError(
                 f"non-finite value for output {self.output_names[k]!r} at grid point "
                 f"{i} = {self.grid.points[i].tolist()}")
-        self.modal_coefficients = _modal_coefficients(self.grid, self.values)
+        self._recurrences = [_recurrence(d.dist, top) for d, top
+                             in zip(self.grid.space.dims, self.grid.degrees.max(axis=0))]
+        self.modal_coefficients = _modal_coefficients(self.grid, self.values, self._recurrences)
 
     @property
     def n_outputs(self) -> int:
@@ -317,17 +327,12 @@ class Surrogate:
     @classmethod
     def from_model(cls, grid: SparseGrid, model_fn, output_names=()) -> "Surrogate":
         """Fill values by calling model_fn once on all global points."""
-        vals = np.asarray(model_fn(grid.points), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return cls(grid=grid, values=vals, output_names=tuple(output_names))
+        return cls(grid=grid, values=model_fn(grid.points), output_names=tuple(output_names))
 
-    def _factors(self, V: np.ndarray, derivatives: int = 0) -> list[np.ndarray]:
-        """Per dim: basis values (and derivatives) at V, one column per degree row."""
-        deg = self.grid.degrees
-        tables = _basis_tables([d.dist for d in self.grid.space.dims], V, int(deg.max()),
-                               derivatives)
-        return [tables[:, :, n, deg[:, n]] for n in range(deg.shape[1])]
+    def _rows(self, x, derivatives: int = 0) -> list[np.ndarray]:
+        """Per dim n: basis (and derivatives) at x[n], a float or a column, per degree row."""
+        return [_basis(xn, recurrence, derivatives)[..., deg] for xn, recurrence, deg
+                in zip(x, self._recurrences, self.grid.degrees.T)]
 
     def evaluate(self, v: np.ndarray, warn_outside: bool = True) -> np.ndarray:
         """Evaluate the interpolant: modal basis rows times the coefficients.
@@ -341,16 +346,19 @@ class Surrogate:
         V = v[None, :] if single else v
         if V.shape[1] != self.grid.space.n_dims:
             raise ValueError(f"points have dimension {V.shape[1]}, expected {self.grid.space.n_dims}")
-        if warn_outside:
-            self._warn_outside(V)
+        for n, d in enumerate(self.grid.space.dims):
+            if warn_outside and isinstance(d.dist, Uniform) and np.any(
+                    (V[:, n] < d.dist.a) | (V[:, n] > d.dist.b)):
+                warnings.warn(f"evaluating surrogate outside [{d.dist.a}, {d.dist.b}] in "
+                              f"dimension {d.name!r}: polynomial extrapolation",
+                              ExtrapolationWarning, stacklevel=2)
 
         out = np.empty((len(V), self.n_outputs))
         for start in range(0, len(V), EVAL_BLOCK_ROWS):
-            factors = self._factors(V[start:start + EVAL_BLOCK_ROWS])
-            rows = factors[0][0]
-            for f in factors[1:]:
-                rows *= f[0]
-            out[start:start + EVAL_BLOCK_ROWS] = rows @ self.modal_coefficients
+            # one float per dimension for a single point, else one column per dimension
+            x = v.tolist() if single else V[start:start + EVAL_BLOCK_ROWS].T
+            rows = math.prod(f[0] for f in self._rows(x))
+            out[start:start + EVAL_BLOCK_ROWS] = np.atleast_2d(rows) @ self.modal_coefficients
         return out[0] if single else out
 
     def derivatives(self, v: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
@@ -362,7 +370,10 @@ class Surrogate:
             raise ValueError(f"order must be 1 or 2, got {order}")
         v = np.asarray(v, dtype=float)
         ndim = self.grid.space.n_dims
-        factors = np.array([f[:, 0] for f in self._factors(v[None, :], derivatives=order)])
+        if v.shape != (ndim,):
+            raise ValueError(f"points have dimension {v.shape[-1]}, expected {ndim}" if v.ndim == 1
+                             else f"derivatives take one point of shape ({ndim},), got {v.shape}")
+        factors = np.array(self._rows(v.tolist(), derivatives=order))
 
         def term(orders):
             # orders[n] = derivative order in dim n
@@ -376,15 +387,6 @@ class Surrogate:
         hess = np.array([[term(eye[n] + eye[m]) for m in range(ndim)]
                          for n in range(ndim)]).transpose(2, 0, 1)
         return value, jac, hess
-
-    def _warn_outside(self, V: np.ndarray):
-        for n, d in enumerate(self.grid.space.dims):
-            if isinstance(d.dist, Uniform):
-                if np.any((V[:, n] < d.dist.a) | (V[:, n] > d.dist.b)):
-                    warnings.warn(
-                        f"evaluating surrogate outside [{d.dist.a}, {d.dist.b}] in "
-                        f"dimension {d.name!r}: polynomial extrapolation",
-                        ExtrapolationWarning, stacklevel=3)
 
 
 @dataclass

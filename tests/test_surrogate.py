@@ -13,7 +13,8 @@ from sguq.surrogate import (
     ParameterSpace,
     Surrogate,
     Uniform,
-    _basis_tables,
+    _basis,
+    _recurrence,
     build_sparse_grid,
     surrogate_from_json_dict,
     surrogate_to_json_dict,
@@ -297,6 +298,22 @@ def test_derivatives_of_a_polynomial_are_exact():
                                               [3 * t ** 2, 12 * x ** 2]]), rel=1e-11)
 
 
+def test_derivatives_reject_a_point_of_the_wrong_dimension():
+    # a 1-long point must not broadcast its coordinate to both dimensions
+    space = uniform_space([(1130.0, 1450.0), (-5.0, 0.0)])
+    grid = build_sparse_grid(space, generate_index_set("sum", 2, 3))
+    sur = Surrogate.from_model(grid, lambda p: np.column_stack([p[:, 0] * p[:, 1], p[:, 1]]))
+    for v in ([1300.0], [1300.0, -2.0, 0.5]):
+        message = f"points have dimension {len(v)}, expected 2"
+        with pytest.raises(ValueError, match=message):
+            sur.evaluate(np.array(v))
+        for order in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                sur.derivatives(np.array(v), order=order)
+    with pytest.raises(ValueError, match="one point"):
+        sur.derivatives(np.array([[1300.0, -2.0]]))
+
+
 def test_first_order_derivatives_match_second_order_ones():
     # order=1 stops before the Hessians; value and Jacobian must not change
     space = ParameterSpace.from_pairs([("a", Uniform(1.0, 3.0)), ("b", Gaussian(0.0, 2.0)),
@@ -343,14 +360,21 @@ def basis_tables_loop(dists, X, degree, derivatives=0):
 @pytest.mark.parametrize("derivatives", [0, 1, 2])
 @pytest.mark.parametrize("degree", range(1, 10))
 def test_basis_tables_equal_the_loop_recurrence(degree, derivatives):
+    # the per-dimension kernel, on a column and on one Python float, has the
+    # oracle's bits for every marginal, degree and derivative order
     dists = [Uniform(1130.0, 1450.0), Gaussian(10.0, 2.0), Uniform(-5.0, 0.0),
              Gaussian(0.0, 1.0)]
     rng = np.random.default_rng(degree)
     X = np.column_stack([rng.uniform(1130.0, 1450.0, 7), rng.normal(10.0, 2.0, 7),
                          rng.uniform(-5.0, 0.0, 7), rng.normal(0.0, 1.0, 7)])
-    for x in (X, X[:1]):
-        assert np.array_equal(_basis_tables(dists, x, degree, derivatives),
-                              basis_tables_loop(dists, x, degree, derivatives))
+    oracle = basis_tables_loop(dists, X, degree, derivatives)
+    for n, dist in enumerate(dists):
+        recurrence = _recurrence(dist, degree)
+        assert np.array_equal(_basis(X[:, n], recurrence, derivatives), oracle[:, :, n])
+        for q in range(len(X)):
+            x = X[q, n].item()
+            assert type(x) is float
+            assert np.array_equal(_basis(x, recurrence, derivatives), oracle[:, q, n])
 
 
 # ---------------------------------------------------------------------------
