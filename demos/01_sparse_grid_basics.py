@@ -11,9 +11,12 @@
 # %% [markdown]
 # # Sparse grids from multi-index sets
 #
-# A sparse grid combines small Cartesian grids, one per multi-index, with
-# signed coefficients.  This demo builds the two standard index-set families,
-# shows the combination coefficients, and counts grid points.
+# A sparse grid is the union of small Cartesian grids, one per multi-index;
+# the combination technique weights them with signed coefficients.  This demo
+# builds the two standard index-set families, shows the combination
+# coefficients, and counts grid points.  The surrogate does not sum tensor
+# interpolants: it interpolates in Newton form on the grid's lower set of
+# degrees, and the coefficients only fix the order of the points.
 
 # %%
 from sguq import (
@@ -70,8 +73,8 @@ print("points:", build_sparse_grid(space3, mset3).n_points)
 # ## Budget scaling
 #
 # Point counts grow polynomially with the budget for the "sum" family but
-# exponentially for "max", which is why the combination technique matters for
-# more than two parameters.
+# exponentially for "max", which is why sparse "sum" sets matter for more than
+# two parameters.
 
 # %%
 for w in range(5):

@@ -1,9 +1,11 @@
 """Sparse-grid surrogates and the three-stage uncertainty-quantification workflow.
 
-Subpackages cover multi-index sets and combination coefficients, nested Leja
-collocation points, sparse-grid surrogate construction and evaluation,
-variance-based sensitivity indices, Bayesian inverse analysis with a Laplace
-posterior, and data-informed forward propagation with density estimates.
+Subpackages cover multi-index sets, nested Leja collocation points,
+sparse-grid surrogates built in Newton form on the lower set of degrees (the
+combination coefficients only order the points and are serialized with the
+index set), variance-based sensitivity indices, Bayesian inverse analysis
+with a Laplace posterior, and data-informed forward propagation with density
+estimates.
 """
 
 __version__ = "0.1.0"

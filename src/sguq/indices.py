@@ -1,9 +1,11 @@
 """Multi-index sets and combination-technique coefficients.
 
 A multi-index is a tuple of positive integer discretization levels, one per
-uncertain parameter.  A multi-index set selects which tensor grids enter a
-sparse-grid approximation; it must be downward closed for the combination
-technique to be valid.  Two standard families are supported:
+uncertain parameter.  A downward-closed multi-index set selects the tensor
+grids of a sparse grid, whose knot positions form the lower set of degrees the
+surrogate interpolates on in Newton form.  The combination coefficients only
+fix the order of the grid points and are serialized with the index set.
+Two standard families are supported:
 
 * ``sum``:  all i with sum(i_n - 1) <= w  (total-degree style, the usual choice)
 * ``max``:  all i with max(i_n - 1) <= w  (a full tensor grid in disguise)
@@ -163,10 +165,9 @@ def combination_coefficients(mset: MultiIndexSet) -> dict[MultiIndex, int]:
     return coeffs
 
 
-def index_set_to_json_dict(mset: MultiIndexSet, coeffs: dict[MultiIndex, int] | None = None) -> dict:
+def index_set_to_json_dict(mset: MultiIndexSet) -> dict:
     """Serializable form with parallel arrays in lexicographic index order."""
-    if coeffs is None:
-        coeffs = combination_coefficients(mset)
+    coeffs = combination_coefficients(mset)
     return {
         "kind": mset.kind,
         "w": mset.w,

@@ -1,24 +1,24 @@
 """Sparse-grid construction and modal sparse-grid surrogates.
 
-A sparse grid is the union of small Cartesian ("tensor") grids, selected by a
-downward-closed multi-index set and weighted by signed combination
-coefficients.  The knots are nested Leja sequences, so every global point has
-a per-dimension position in its sequence, and these positions form a lower
-set Lambda of polynomial degrees with |Lambda| = M points.  The combination of
-tensor Lagrange interpolants is then the unique interpolant in the span of
-the monomial degrees in Lambda (Chkifa, Cohen & Schwab, FoCM 2014).
+A sparse grid is selected by a downward-closed multi-index set of levels.
+The knots are nested Leja sequences, so every point has a per-dimension
+position in its sequence, and these positions form a lower set Lambda of
+polynomial degrees with |Lambda| = M points.  The interpolant is the unique
+one in the span of the degrees in Lambda (Chkifa, Cohen & Schwab, FoCM 2014),
+the same one the combination technique sums from tensor interpolants; it is
+built here without them.  Combination coefficients only fix the order of the
+points (first appearance in the tensor grids of nonzero coefficient, in
+index-set order) and are written with the serialized index set.
 
-A grid is stored as its M points and their degrees; the tensor grid of a
-multi-index i is read off them as the points whose degrees lie below 2i - 1.
-
-A surrogate stores that interpolant once, as coefficients in a product basis
-that is orthonormal per dimension: Legendre polynomials for a uniform
-parameter, probabilists' Hermite polynomials for a Gaussian one.  They are
-computed tensor grid by tensor grid, by solving small 1-D Vandermonde systems
-along each axis, and summed with the combination coefficients.  Evaluation,
-Jacobians, Hessians and those Vandermonde matrices all run one three-term
-recurrence per dimension, on constants fixed when the surrogate is built: on
-a Python float for one point, on a column for a batch.
+A grid is stored as its M points and their degrees.  A surrogate stores its
+interpolant once, as coefficients in a product basis that is orthonormal per
+dimension: Legendre polynomials for a uniform parameter, probabilists' Hermite
+polynomials for a Gaussian one.  They are computed in Newton form on Lambda:
+divided differences along the fibers of each axis, then one Newton ->
+orthonormal change of basis per axis.  Evaluation, Jacobians, Hessians and
+that change of basis use one three-term recurrence per dimension, on
+constants fixed when the surrogate is built: on a Python float for one
+point, on a column for a batch.
 
 The surrogate of a P-valued model stores one value vector per global grid
 point, so any number of outputs share a single set of model runs.
@@ -161,15 +161,14 @@ class ParameterSpace:
 
 @dataclass(frozen=True)
 class SparseGrid:
-    """Union of the tensor grids with nonzero combination coefficient.
+    """The points of a downward-closed index set and their lower set of degrees.
 
     Point i sits at position ``degrees[i, n]`` of dimension n's nested knots,
-    also its modal degree; ``coefficients`` keeps the index-set order.
+    also its modal degree.
     """
 
     space: ParameterSpace
     index_set: MultiIndexSet
-    coefficients: dict[tuple[int, ...], int]
     points: np.ndarray                            # (M, N) deduplicated
     degrees: np.ndarray                           # (M, N) per-dim knot position
 
@@ -183,21 +182,21 @@ def build_sparse_grid(space: ParameterSpace, mset: MultiIndexSet) -> SparseGrid:
     if mset.dim != space.n_dims:
         raise ValueError(
             f"index set dimension {mset.dim} does not match space dimension {space.n_dims}")
-    coeffs = combination_coefficients(mset)
     top = np.max(mset.indices, axis=0)
     # nested sequences: every grid's knots are prefixes of these, bit for bit
     sequences = [knots_for_level(d.dist, int(t)) for d, t in zip(space.dims, top)]
     _assert_separated(sequences, space.scales())
 
     # a point is identified by its per-dim knot positions, which are also its
-    # modal degrees; global ids follow the order of first appearance
+    # modal degrees; global ids follow their first appearance in the tensor grids
+    # of nonzero combination coefficient, the order surrogate.json was written in
+    coeffs = combination_coefficients(mset)
     positions = np.vstack([np.indices([level_to_knots(i) for i in idx]).reshape(mset.dim, -1).T
                            for idx in mset.indices if coeffs[idx] != 0])
     _, first = np.unique(positions, axis=0, return_index=True)
     degrees = positions[np.sort(first)]
     points = np.column_stack([seq[degrees[:, n]] for n, seq in enumerate(sequences)])
-    return SparseGrid(space=space, index_set=mset, coefficients=coeffs, points=points,
-                      degrees=degrees)
+    return SparseGrid(space=space, index_set=mset, points=points, degrees=degrees)
 
 
 def _assert_separated(sequences, scales: np.ndarray):
@@ -249,37 +248,51 @@ def _basis(x, recurrence, derivatives: int = 0) -> np.ndarray:
     return np.array(phi).swapaxes(1, -1)
 
 
-def _modal_coefficients(grid: SparseGrid, values: np.ndarray, recurrences) -> np.ndarray:
-    """Coefficients of the combination-technique interpolant in the modal basis.
+def _fibers(degrees: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
+    """(m, ids) per fiber length m > 1 along axis n: ids[f, k] is fiber f's point of degree k.
 
-    Row i belongs to the degree multi-index grid.degrees[i].  The tensor grid
-    of index i holds the points whose degrees lie below its knot counts; its
-    values are converted axis by axis with the 1-D Vandermonde matrices of
-    its knots, then summed with the combination coefficients in index-set
-    order; no M x M system is formed.  The 1-D systems are solved, not
-    inverted: at 17 Gaussian knots (condition 2e5) an explicit inverse loses
-    three digits.
+    A fiber shares every degree but the n-th; in a lower set it holds 0..m-1.
     """
-    deg = grid.degrees
-    # each dimension's knots in degree order; nested, so each grid's Vandermonde is a leading block
-    vandermonde = [_basis(grid.points[np.unique(deg[:, n], return_index=True)[1], n], rec)[0]
-                   for n, rec in enumerate(recurrences)]
-    out = np.zeros((grid.n_points, values.shape[1]))
-    for idx, c in grid.coefficients.items():
-        if c == 0:
-            continue
-        shape = tuple(level_to_knots(i) for i in idx)
-        inside = np.flatnonzero(np.all(deg < shape, axis=1))
-        ids = np.empty_like(inside)
-        ids[np.ravel_multi_index(deg[inside].T, shape)] = inside
-        cube = values[ids].reshape(shape + (values.shape[1],))
-        for n, m in enumerate(shape):
-            if m == 1:
-                continue  # phi_0 = 1: the solve is the identity
-            axis_first = np.moveaxis(cube, n, 0)
-            solved = np.linalg.solve(vandermonde[n][:m, :m], axis_first.reshape(m, -1))
-            cube = np.moveaxis(solved.reshape(axis_first.shape), 0, n)
-        out[ids] += c * cube.reshape(len(ids), -1)
+    # sorted by the other degrees, then by degree n, each fiber is a run from degree 0
+    order = np.lexsort(np.vstack([degrees[:, n], np.delete(degrees, n, axis=1).T]))
+    starts = np.flatnonzero(degrees[order, n] == 0)
+    lengths = np.diff(starts, append=len(order))
+    return [(m, order[starts[lengths == m, None] + np.arange(m)])
+            for m in np.unique(lengths) if m > 1]
+
+
+def _modal_coefficients(grid: SparseGrid, values: np.ndarray, recurrences) -> np.ndarray:
+    """Coefficients of the interpolant on the lower set of degrees, in the modal basis.
+
+    Row i belongs to the degree multi-index grid.degrees[i].  In the Newton
+    basis prod_n prod_{j < alpha_n} (t_n - t^n_j) the interpolation matrix on a
+    lower set factors into triangular 1-D matrices, one per axis, applied along
+    its fibers.  Pass 1, divided differences, must end on every axis before
+    pass 2, Newton -> orthonormal, starts: merged per fiber, they are exact
+    only on tensor grids.  Forward substitution keeps a constant fiber's
+    differences exactly zero; at 17 Gaussian knots it was within 2e-16 of a
+    50-digit solve, and a pivoted LU solve within 8e-14.
+    """
+    fibers = [_fibers(grid.degrees, n) for n in range(grid.degrees.shape[1])]
+    out = values.copy()
+    newton, change = [], []
+    for n, (center, half, b) in enumerate(recurrences):
+        t = (grid.points[np.unique(grid.degrees[:, n], return_index=True)[1], n] - center) / half
+        # newton[i, j] = prod_{l < j} (t_i - t_l); column j of T is that product in phi_0..phi_K
+        newton.append(np.cumprod(np.column_stack([np.ones_like(t), t[:, None] - t[:-1]]), axis=1))
+        jacobi, T = np.diag(b, 1) + np.diag(b, -1), np.eye(len(t))
+        for k in range(len(t) - 1):
+            T[:, k + 1] = jacobi @ T[:, k] - t[k] * T[:, k]
+        change.append(T)
+    for n, groups in enumerate(fibers):
+        for m, ids in groups:
+            block, lower = out[ids], newton[n]
+            for k in range(1, m):  # row 0 of the Newton matrix is (1, 0, ...)
+                block[:, k] = (block[:, k] - lower[k, :k] @ block[:, :k]) / lower[k, k]
+            out[ids] = block
+    for n, groups in enumerate(fibers):
+        for m, ids in groups:
+            out[ids] = change[n][:m, :m] @ out[ids]
     return out
 
 
@@ -342,6 +355,8 @@ class Surrogate:
         polynomial extrapolation and flagged with ExtrapolationWarning.
         """
         v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2):
+            raise ValueError(f"evaluate takes one point (N,) or a batch (Q, N), got shape {v.shape}")
         single = v.ndim == 1
         V = v[None, :] if single else v
         if V.shape[1] != self.grid.space.n_dims:
@@ -458,7 +473,7 @@ def surrogate_to_json_dict(surrogate: Surrogate) -> dict:
     grid = surrogate.grid
     return {
         "space": _space_to_json(grid.space),
-        "index_set": index_set_to_json_dict(grid.index_set, grid.coefficients),
+        "index_set": index_set_to_json_dict(grid.index_set),
         "points": [[float(x) for x in p] for p in grid.points],
         "values": [[float(x) for x in col] for col in surrogate.values.T],
         "output_names": list(surrogate.output_names),

@@ -152,7 +152,7 @@ def test_explicit_set_accepts_any_downward_closed_collection():
 def test_json_round_trip():
     ms = generate_index_set("sum", 3, 2)
     coeffs = combination_coefficients(ms)
-    blob = json.dumps(index_set_to_json_dict(ms, coeffs))
+    blob = json.dumps(index_set_to_json_dict(ms))
     ms2, coeffs2 = index_set_from_json_dict(json.loads(blob))
     assert ms2 == ms
     assert coeffs2 == coeffs

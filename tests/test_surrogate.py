@@ -1,10 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sguq.indices import MultiIndexSet, generate_index_set
+from sguq.indices import (MultiIndexSet, combination_coefficients, explicit_index_set,
+                          generate_index_set)
 from sguq.models import beam_proxy, ishigami
 from sguq.surrogate import (
     POINT_RTOL,
@@ -90,6 +92,22 @@ def test_grid_points_are_distinct():
     d = np.abs(grid.points[:, None, :] - grid.points[None, :, :]).max(axis=2)
     np.fill_diagonal(d, 1.0)
     assert d.min() > 1e-12
+
+
+@pytest.mark.parametrize("kind,dim,w,rows", [
+    ("sum", 2, 3, [[0, 0], [0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6], [1, 0], [1, 1],
+                   [1, 2], [2, 0], [2, 1], [2, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 0],
+                   [4, 0], [3, 1], [3, 2], [4, 1], [4, 2], [5, 0], [6, 0]]),
+    ("max", 3, 1, [[0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 1, 0], [0, 1, 1], [0, 1, 2], [0, 2, 0],
+                   [0, 2, 1], [0, 2, 2], [1, 0, 0], [1, 0, 1], [1, 0, 2], [1, 1, 0], [1, 1, 1],
+                   [1, 1, 2], [1, 2, 0], [1, 2, 1], [1, 2, 2], [2, 0, 0], [2, 0, 1], [2, 0, 2],
+                   [2, 1, 0], [2, 1, 1], [2, 1, 2], [2, 2, 0], [2, 2, 1], [2, 2, 2]]),
+])
+def test_grid_point_order_is_pinned(kind, dim, w, rows):
+    # the order follows the tensor grids of nonzero combination coefficient;
+    # surrogate.json stores the points in it, so it must not move
+    grid = build_sparse_grid(uniform_space([(0, 1)] * dim), generate_index_set(kind, dim, w))
+    assert grid.degrees.tolist() == rows
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +250,7 @@ def combination_reference(sur, v):
     grid = sur.grid
     ids_of = {tuple(p): i for i, p in enumerate(grid.points.tolist())}
     out = np.zeros((len(v), sur.n_outputs))
-    for index, c in grid.coefficients.items():
+    for index, c in combination_coefficients(grid.index_set).items():
         if c != 0:
             tgrid = make_tensor_grid(grid.space, index)
             # nested knots: every tensor grid point is a sparse grid point, bit for bit
@@ -273,6 +291,106 @@ def test_modal_evaluation_matches_combination_reference(space, kind, w):
         got = sur.evaluate(v, warn_outside=False)
     ref = combination_reference(sur, v)
     assert np.all(np.abs(got - ref).max(axis=0) <= 1e-12 * np.abs(ref).max(axis=0))
+
+
+def modal_vandermonde(grid):
+    """M x M matrix of the orthonormal product basis at the grid points, from numpy.polynomial."""
+    out = np.ones((grid.n_points, grid.n_points))
+    for n, d in enumerate(grid.space.dims):
+        top = int(grid.degrees[:, n].max())
+        k = np.arange(top + 1)
+        if isinstance(d.dist, Uniform):
+            t = (grid.points[:, n] - d.dist.center) / (0.5 * d.dist.scale)
+            table = np.polynomial.legendre.legvander(t, top) * np.sqrt(2 * k + 1)
+        else:
+            t = (grid.points[:, n] - d.dist.mean) / d.dist.std
+            table = np.polynomial.hermite_e.hermevander(t, top) / np.sqrt(
+                [math.factorial(j) for j in k])
+        out *= table[:, grid.degrees[:, n]]
+    return out
+
+
+def standardized_model(space):
+    """Smooth outputs of the standardized point, coupling every dimension."""
+    center = np.array([d.dist.center for d in space.dims])
+    scale = space.scales()
+
+    def model(p):
+        z = (p - center) / scale
+        return np.column_stack([np.sin(z.sum(axis=1)), np.exp(0.3 * z[:, 0]) + z[:, -1] ** 3,
+                                np.prod(1.0 + 0.1 * z, axis=1)])
+
+    return model
+
+
+BEAM_3D = [(1130.0, 1450.0), (-5.0, 0.0), (-5.0, 0.0)]
+
+
+@pytest.mark.parametrize("space,kind,w,beam_dims", [
+    (uniform_space(BEAM_3D[:2]), "sum", 3, [0, 1]),
+    (uniform_space(BEAM_3D), "max", 1, [0, 2]),
+    (uniform_space(BEAM_3D[:2] + [(0.0, 1.0)] * 6), "sum", 2, [0, 1]),
+    (ParameterSpace.from_pairs([(f"p{i}", Gaussian(1.0 + i, 0.05 * (i + 1))) for i in range(4)]),
+     "sum", 3, None),
+])
+def test_modal_coefficients_match_a_dense_vandermonde_solve(space, kind, w, beam_dims):
+    # the Newton construction against one dense float64 solve of the M x M modal system:
+    # within 1e-13 of each output's largest coefficient
+    grid = build_sparse_grid(space, generate_index_set(kind, space.n_dims, w))
+    values = standardized_model(space)(grid.points)
+    if beam_dims is not None:
+        values = np.hstack([beam_proxy(grid.points[:, beam_dims]), values])
+    got = Surrogate(grid=grid, values=values, output_names=()).modal_coefficients
+    ref = np.linalg.solve(modal_vandermonde(grid), values)
+    assert np.all(np.abs(got - ref).max(axis=0) <= 1e-13 * np.abs(ref).max(axis=0))
+
+
+@pytest.mark.parametrize("space,mset", [
+    (ParameterSpace.from_pairs([("t", Gaussian(10.0, 2.0))]), generate_index_set("sum", 1, 8)),
+    (ParameterSpace.from_pairs([("t", Gaussian(0.0, 1.0)), ("x", Uniform(-1.0, 2.0))]),
+     explicit_index_set([(i, 1) for i in range(1, 9)] + [(i, 2) for i in range(1, 4)])),
+])
+def test_modal_coefficients_at_many_gaussian_knots_match_a_40_digit_solve(space, mset):
+    # 17 and 15 Gaussian knots, where the 1-D systems are worst conditioned (~1e5):
+    # within 1e-13 of each output's largest coefficient
+    mpmath = pytest.importorskip("mpmath")
+    grid = build_sparse_grid(space, mset)
+    assert grid.degrees[:, 0].max() + 1 >= 15
+    values = standardized_model(space)(grid.points)
+    got = Surrogate(grid=grid, values=values, output_names=()).modal_coefficients
+    with mpmath.workdps(40):
+        table = []
+        for n, d in enumerate(space.dims):
+            top = int(grid.degrees[:, n].max())
+            if isinstance(d.dist, Uniform):
+                center = (mpmath.mpf(d.dist.a) + d.dist.b) / 2
+                half = (mpmath.mpf(d.dist.b) - d.dist.a) / 2
+                b = [k / mpmath.sqrt(4 * k * k - 1) for k in range(1, top + 1)]
+            else:
+                center, half = mpmath.mpf(d.dist.mean), mpmath.mpf(d.dist.std)
+                b = [mpmath.sqrt(k) for k in range(1, top + 1)]
+            rows = []
+            for x in grid.points[:, n]:
+                t, phi = (mpmath.mpf(x) - center) / half, [mpmath.mpf(1)]
+                for j in range(top):
+                    phi.append((t * phi[j] - (b[j - 1] * phi[j - 1] if j else 0)) / b[j])
+                rows.append(phi)
+            table.append(rows)
+        vandermonde = mpmath.matrix([[mpmath.fprod(table[n][i][k] for n, k in enumerate(row))
+                                      for row in grid.degrees.tolist()]
+                                     for i in range(grid.n_points)])
+        ref = np.array([[float(c) for c in mpmath.lu_solve(vandermonde, mpmath.matrix(
+            [mpmath.mpf(float(v)) for v in col]))] for col in values.T]).T
+    assert np.all(np.abs(got - ref).max(axis=0) <= 1e-13 * np.abs(ref).max(axis=0))
+
+
+def test_evaluate_rejects_a_point_array_that_is_not_1d_or_2d():
+    space = uniform_space([(0.0, 1.0), (-1.0, 1.0)])
+    sur = Surrogate.from_model(build_sparse_grid(space, generate_index_set("sum", 2, 2)),
+                               lambda p: p[:, :1] * p[:, 1:])
+    for v in (0.5, np.zeros((3, 2, 2))):
+        with pytest.raises(ValueError, match="one point"):
+            sur.evaluate(v)
 
 
 def test_evaluation_blocks_match_single_points():
