@@ -212,9 +212,14 @@ class StageModel:
     Every view of one command shares the command's run store, keyed on the
     projected model-input row.  A row is sent to the model once per command:
     points that differ only in dimensions the model does not read, and points
-    an earlier stage already ran, cost no solver run.  ``evaluations`` counts
-    the rows this view sent to the model, ``reused`` the rows it answered
-    from the store.  Separate commands do not share runs.
+    an earlier stage already ran, cost no solver run.  Separate commands do
+    not share runs.  A stage plans its rows: one call with ``plan=True``,
+    before its first solver run, sends every new row it will read as one batch.
+
+    ``batches`` counts this view's calls to the model handle, ``evaluations``
+    the rows it sent to the model and ``reused`` the rows it answered from
+    the store.  A row is charged to the call that first reads it, so a
+    planned call moves neither count.
     """
 
     def __init__(self, config: Config, space: ParameterSpace):
@@ -222,6 +227,8 @@ class StageModel:
         self.space = space
         self._fixed = config.fixed
         self._runs = config.runs
+        self._unread = set()  # keys this view sent to the model but has not read yet
+        self.batches = 0
         self.evaluations = 0
         self.reused = 0
 
@@ -234,7 +241,7 @@ class StageModel:
                 cols.append(np.full(len(batch), self._fixed[name]))
         return np.column_stack(cols)
 
-    def __call__(self, batch: np.ndarray) -> np.ndarray:
+    def __call__(self, batch: np.ndarray, plan: bool = False) -> np.ndarray:
         inputs = self._project(np.atleast_2d(np.asarray(batch, dtype=float)))
         keys = [row.tobytes() for row in inputs]
         todo = {key: row for key, row in zip(keys, inputs) if key not in self._runs}
@@ -245,8 +252,13 @@ class StageModel:
                 raise ExternalModelError(
                     f"model {self.handle.name!r} failed on a batch of {len(todo)}: {exc}") from exc
             self._runs.update(zip(todo, fresh))
-            self.evaluations += len(todo)
-        self.reused += len(keys) - len(todo)
+            self._unread.update(todo)
+            self.batches += 1
+        if not plan:
+            first = self._unread.intersection(keys)
+            self._unread -= first
+            self.evaluations += len(first)
+            self.reused += len(keys) - len(first)
         return np.array([self._runs[k] for k in keys])
 
 
@@ -299,22 +311,29 @@ def _read_data_file(path: str, handle) -> Measurements:
     return _read_json_file(path, "inversion.data_file", parse)
 
 
-def _build_stage_surrogate(space, kind, w, model: StageModel, ids):
-    """Surrogate of the outputs ``ids`` on the stage's grid."""
-    grid = build_sparse_grid(space, generate_index_set(kind, space.n_dims, w))
+def _stage_grid(space, kind, w):
+    """The sparse grid of a ``kind`` index set of level ``w`` on ``space``."""
+    return build_sparse_grid(space, generate_index_set(kind, space.n_dims, w))
+
+
+def _build_stage_surrogate(grid, model: StageModel, ids):
+    """Surrogate of the outputs ``ids`` on ``grid``."""
     names = model.handle.output_names
     return Surrogate.from_model(grid, lambda points: model(points)[:, ids],
                                 output_names=[names[i] for i in ids])
 
 
-def _validation_table(space, opts: dict, model: StageModel, ids, samples) -> dict:
-    """Validation errors of the selected outputs at every level budget w = 0..opts["w"]."""
+def _validation_table(grid, opts: dict, model: StageModel, ids, samples) -> dict:
+    """Validation errors of the selected outputs at every level budget w = 0..opts["w"].
+
+    ``grid`` is the stage's grid, of level opts["w"]; the lower levels are nested in it.
+    """
     names = [model.handle.output_names[i] for i in ids]
     ref = model(samples)[:, ids]
     per_output = {n: {"e_ppe": [], "e_mse": []} for n in names}
     for w in range(opts["w"] + 1):
-        sub = _build_stage_surrogate(space, opts["kind"], w, model, ids)
-        err = validation_errors(sub, ref, samples)
+        level = grid if w == opts["w"] else _stage_grid(grid.space, opts["kind"], w)
+        err = validation_errors(_build_stage_surrogate(level, model, ids), ref, samples)
         for j, n in enumerate(names):
             per_output[n]["e_ppe"].append(float(err.e_ppe[j]))
             per_output[n]["e_mse"].append(float(err.e_mse[j]))
@@ -352,7 +371,7 @@ def run_gsa(config: Config, out: Path) -> dict:
     stage_dir.mkdir(parents=True, exist_ok=True)
 
     _log(f"gsa: building {opts['kind']} grid, w={opts['w']}, {space.n_dims} dims")
-    surrogate = _build_stage_surrogate(space, opts["kind"], opts["w"], model,
+    surrogate = _build_stage_surrogate(_stage_grid(space, opts["kind"], opts["w"]), model,
                                        range(handle.n_outputs))
     _log(f"gsa: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations, "
          f"{model.reused} reused")
@@ -367,6 +386,7 @@ def run_gsa(config: Config, out: Path) -> dict:
     _log(f"gsa: keep {keep_names}, drop {drop_names}")
     return {"model_evaluations": model.evaluations,
             "reused_evaluations": model.reused,
+            "model_batches": model.batches,
             "grid_points": surrogate.grid.n_points,
             "files": {"sobol": "gsa/sobol.json"}}
 
@@ -397,24 +417,35 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     _require(space.is_all_uniform(), "the inverted dimensions", "uniform", list(space.names))
     model = StageModel(config, space)
     meas, target = opts["data_file"], opts["target"]
+    rows = []
     if meas is None:
         _require(len(target) == space.n_dims, "inversion.target",
                  f"{space.n_dims} long, one value per inverted dimension", target)
+        target = np.asarray(target, dtype=float)
         box = space.uniform_box()
-        if np.any(np.asarray(target) < box[0]) or np.any(np.asarray(target) > box[1]):
+        if np.any(target < box[0]) or np.any(target > box[1]):
             raise ConfigError("synthetic-data target lies outside the prior box")
-        meas = synthesize_data(model, np.asarray(target, dtype=float),
-                               opts["measurement_outputs"], opts["noise_std"], opts["seed"])
+        rows.append(target[None, :])
+    fixed = {name: v for name, v in config.fixed.items() if name not in space.names}
+    _log(f"invert: building {opts['kind']} grid, w={opts['w']}, dims {list(space.names)}"
+         + (f", fixed {fixed}" if fixed else ""))
+    grid = _stage_grid(space, opts["kind"], opts["w"])
+    rows.append(grid.points)
+    if validate:
+        samples = sample_posterior(PosteriorSpec.from_prior(space), opts["validation_samples"],
+                                   opts["validation_seed"])
+        rows.append(samples)
+    # one solver batch: the data target, the grid, the validation samples
+    model(np.vstack(rows), plan=True)
+    if meas is None:
+        meas = synthesize_data(model, target, opts["measurement_outputs"], opts["noise_std"],
+                               opts["seed"])
     # the data-generating run is bookkept separately from the grid budget
     data_evaluations, model.evaluations = model.evaluations, 0
-    fixed = {name: v for name, v in config.fixed.items() if name not in space.names}
     stage_dir = out / "invert"
     stage_dir.mkdir(parents=True, exist_ok=True)
 
-    _log(f"invert: building {opts['kind']} grid, w={opts['w']}, dims {list(space.names)}"
-         + (f", fixed {fixed}" if fixed else ""))
-    surrogate = _build_stage_surrogate(space, opts["kind"], opts["w"], model,
-                                       range(handle.n_outputs))
+    surrogate = _build_stage_surrogate(grid, model, range(handle.n_outputs))
     _write_json(stage_dir / "surrogate.json", surrogate_to_json_dict(surrogate))
     _log(f"invert: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations, "
          f"{model.reused} reused")
@@ -423,10 +454,8 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     files = {"surrogate": "invert/surrogate.json",
              "measurements": "invert/measurements.json"}
     if validate:
-        samples = sample_posterior(PosteriorSpec.from_prior(space), opts["validation_samples"],
-                                   opts["validation_seed"])
         _write_json(stage_dir / "validation.json",
-                    _validation_table(space, opts, model, list(meas.location_ids), samples))
+                    _validation_table(grid, opts, model, list(meas.location_ids), samples))
         files["validation"] = "invert/validation.json"
         _log(f"invert: validation at w=0..{opts['w']} done")
 
@@ -451,6 +480,7 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
          f"sigma2_map={s2:.4g}, classes={list(posterior.classification)}")
     return {"model_evaluations": model.evaluations,
             "reused_evaluations": model.reused,
+            "model_batches": model.batches,
             "data_evaluations": data_evaluations,
             "grid_points": surrogate.grid.n_points,
             "files": files}
@@ -512,23 +542,32 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     model = StageModel(config, posterior.space)
     _log(f"forward: building {opts['kind']} grid, w={opts['w']} on the "
          f"{'prior' if prior_only else 'posterior'}-matched space")
-    surrogate = _build_stage_surrogate(posterior.space, opts["kind"], opts["w"], model, qoi_ids)
+    grid = _stage_grid(posterior.space, opts["kind"], opts["w"])
+    rows = [grid.points]
+    if validate:
+        val_samples = sample_posterior(posterior, opts["validation_samples"],
+                                       opts["validation_seed"])
+        rows.append(val_samples)
+    fresh_prior = compare and prior_surrogate is None
+    if fresh_prior:
+        prior_grid = _stage_grid(prior_space, opts["kind"], opts["w"])
+        rows.append(prior_grid.points)
+    # one solver batch: the grid, the validation samples, a fresh prior surrogate's grid
+    model(np.vstack(rows), plan=True)
+    surrogate = _build_stage_surrogate(grid, model, qoi_ids)
     _log(f"forward: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations, "
          f"{model.reused} reused")
 
     files = {}
     if validate:
-        samples = sample_posterior(posterior, opts["validation_samples"],
-                                   opts["validation_seed"])
         _write_json(stage_dir / "validation.json",
-                    _validation_table(posterior.space, opts, model, qoi_ids, samples))
+                    _validation_table(grid, opts, model, qoi_ids, val_samples))
         files["validation"] = "forward/validation.json"
 
     if compare:
-        if prior_surrogate is None:
+        if fresh_prior:
             ran, reused = model.evaluations, model.reused
-            prior_surrogate = _build_stage_surrogate(prior_space, opts["kind"], opts["w"],
-                                                     model, qoi_ids)
+            prior_surrogate = _build_stage_surrogate(prior_grid, model, qoi_ids)
             _log(f"forward: built a fresh prior surrogate (+{model.evaluations - ran} evaluations, "
                  f"{model.reused - reused} reused)")
         else:
@@ -553,6 +592,7 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     _log(f"forward: bands written for {comparison.n_locations} locations, n={opts['n_samples']}")
     return {"model_evaluations": model.evaluations,
             "reused_evaluations": model.reused,
+            "model_batches": model.batches,
             "grid_points": surrogate.grid.n_points,
             "n_samples": int(opts["n_samples"]),
             "files": files}

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from sguq.cli import Config, StageModel, _load_config, main
+from sguq.indices import generate_index_set
 from sguq.knots import symmetric_leja
-from sguq.surrogate import ParameterSpace, Uniform
+from sguq.surrogate import ParameterSpace, Uniform, build_sparse_grid
 
 
 def beam_config(**overrides):
@@ -523,6 +524,138 @@ def test_pipeline_with_validation_adds_100_evaluations(tmp_path):
         < float(r["prior_q95"]) - float(r["prior_q05"])
         for r in rows)
     assert narrower >= 0.95 * len(rows)
+
+
+def test_planned_call_sends_one_batch_and_charges_each_row_to_its_first_read():
+    handle = CountingModel()
+    space = ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0))])
+    config = Config(raw={}, space=space, handle=handle, stages={}, fixed={}, runs={})
+    model = StageModel(config, space)
+    # a repeated row is sent once; planning charges nothing
+    model(np.array([[1200.0], [1300.0], [1200.0]]), plan=True)
+    assert [b.tolist() for b in handle.batches] == [[[1200.0], [1300.0]]]
+    assert (model.batches, model.evaluations, model.reused) == (1, 0, 0)
+    assert model(np.array([[1300.0]])).tolist() == [[2600.0]]
+    assert (model.evaluations, model.reused) == (1, 0)
+    assert model(np.array([[1200.0], [1300.0], [1200.0]])).tolist() == [[2400.0], [2600.0], [2400.0]]
+    assert (model.batches, model.evaluations, model.reused) == (1, 2, 2)
+
+
+#: an inversion grid point (sum w=3 on T_A x log_h_p) whose T_A is no knot of the screening grid
+GRID_TARGET = [1197.6239569296604, -2.5]
+
+
+@pytest.mark.parametrize("target, counts, total", [
+    (None, {"gsa": (9, 18), "invert": (66, 53), "forward": (75, 44)}, 150),
+    # the target's run is charged to data_evaluations and the grid reuses it
+    (GRID_TARGET, {"gsa": (9, 18), "invert": (65, 54), "forward": (75, 44)}, 149),
+])
+def test_one_batch_per_stage_keeps_the_evaluation_counts(tmp_path, target, counts, total):
+    # (model_evaluations, reused_evaluations) per stage, as counted before the batches merged
+    space = ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0)),
+                                       ("log_h_p", Uniform(-5.0, 0.0))])
+    assert GRID_TARGET in build_sparse_grid(space, generate_index_set("sum", 2, 3)).points.tolist()
+    cfg = beam_config() if target is None else beam_config(inversion={"target": target})
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--validate"]) == 0
+    man = read_manifest(out)
+    stages = man["stages"]
+    assert {s: (m["model_evaluations"], m["reused_evaluations"])
+            for s, m in stages.items()} == counts
+    assert [m["model_batches"] for m in stages.values()] == [1, 1, 1]
+    assert stages["invert"]["data_evaluations"] == man["data_evaluations"] == 1
+    assert man["total_model_evaluations"] == total
+
+
+LOGGING_SOLVER = """import csv, math, sys
+# beam-like displacements at three stations and one strain; reads T_A and log_h_p
+with open(sys.argv[1]) as fh:
+    rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+with open({log!r}, "a") as fh:
+    fh.write(f"{{len(rows)}}\\n")
+if len(rows) > {max_rows}:
+    sys.exit(1)
+with open(sys.argv[2], "w", newline="") as fh:
+    writer = csv.writer(fh)
+    writer.writerow(["u_1", "u_2", "u_3", "eps_1"])
+    for t, x in rows:
+        s, g = (t - 1130.0) / 320.0, 1.0 / (1.0 + math.exp(-4.0 * (x + 1.0)))
+        u = [0.52 + 0.3 * e + 0.36 * math.exp(-3.5 * e) * s + 0.0375 * (0.06 + 0.94 * e * e) * g
+             for e in (0.0, 0.5, 1.0)]
+        eps = 1e-3 * (1.3 + 0.45 * s + 0.32 * g + 0.12 * s * g)
+        writer.writerow([repr(v) for v in u + [eps]])
+"""
+
+
+def logging_solver(tmp_path, max_rows=10 ** 6):
+    """External model config whose command logs each launch's row count; and the log."""
+    log, script = tmp_path / "launches.log", tmp_path / "solver.py"
+    script.write_text(LOGGING_SOLVER.format(log=str(log), max_rows=max_rows))
+    model = {"command": [sys.executable, str(script)], "workdir": str(tmp_path / "w"),
+             "inputs": ["T_A", "log_h_p"], "outputs": ["u_1", "u_2", "u_3", "eps_1"]}
+    return model, log
+
+
+def launches(log):
+    return [int(n) for n in log.read_text().split()] if log.exists() else []
+
+
+def test_external_pipeline_launches_the_solver_once_per_stage(tmp_path):
+    model, log = logging_solver(tmp_path)
+    cfg = beam_config(forward={"n_samples": 2000, "qoi_outputs": ["eps_1"]})
+    cfg["model"] = model
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--validate"]) == 0
+    # gsa: 9 distinct inputs; invert: target, 16 new grid points, 50 samples;
+    # forward: 25 grid points, 50 samples
+    assert launches(log) == [9, 67, 75]
+    stages = read_manifest(out)["stages"]
+    assert [m["model_batches"] for m in stages.values()] == [1, 1, 1]
+    assert sum(launches(log)) == sum(m["model_evaluations"] + m.get("data_evaluations", 0)
+                                     for m in stages.values())
+
+    # without the inversion's surrogate the prior and posterior grids share one launch
+    (out / "invert" / "surrogate.json").unlink()
+    log.unlink()
+    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--compare-prior"]) == 0
+    forward = read_manifest(out)["stages"]["forward"]
+    assert len(launches(log)) == forward["model_batches"] == 1
+    assert launches(log) == [forward["model_evaluations"]]
+    assert forward["model_evaluations"] > 25
+
+
+@pytest.mark.parametrize("argv, target, posterior, code", [
+    (["invert"], [2000.0, -2.5], None, 2),
+    (["invert"], [1300.0], None, 2),
+    (["forward", "--compare-prior"], None, PATHOLOGICAL_POSTERIOR, 4),
+])
+def test_stage_errors_come_before_its_solver_launch(tmp_path, argv, target, posterior, code):
+    model, log = logging_solver(tmp_path)
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
+    cfg["model"] = model
+    if target is not None:
+        cfg["inversion"]["target"] = target
+    out = tmp_path / "o"
+    if posterior is not None:
+        (out / "invert").mkdir(parents=True)
+        (out / "invert" / "posterior.json").write_text(json.dumps(posterior))
+    assert main([*argv, "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--validate"]) == code
+    assert launches(log) == []
+
+
+def test_solver_failing_on_the_merged_invert_batch_exits_3_and_names_its_size(tmp_path, capsys):
+    model, log = logging_solver(tmp_path, max_rows=1)
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
+    cfg["model"] = model
+    assert main(["invert", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                 "--validate"]) == 3
+    # the target, 25 grid points and 50 validation samples, in one launch
+    assert launches(log) == [76]
+    assert "batch of 76 samples" in capsys.readouterr().err
 
 
 def test_no_scipy_module_is_loaded(tmp_path):
