@@ -61,6 +61,7 @@ from .inversion import (
 from .forward import (
     BandComparison,
     DensityEstimate,
+    estimate_densities,
     estimate_density,
     propagate,
     sample_posterior,

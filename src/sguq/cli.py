@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .forward import (
-    KDE_GRID_SIZE, MIN_KDE_GRID, MIN_KDE_SAMPLES, BandComparison, estimate_density,
+    KDE_GRID_SIZE, MIN_KDE_GRID, MIN_KDE_SAMPLES, BandComparison, estimate_densities,
     propagate, sample_posterior, uncertainty_bands, write_bands_csv, write_densities_json,
 )
 from .indices import KINDS, generate_index_set
@@ -578,7 +578,7 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     else:
         samples = sample_posterior(posterior, opts["n_samples"], opts["seed"])
         values = propagate(surrogate, samples)
-        dens = [estimate_density(values[:, j], opts["kde_grid"]) for j in range(values.shape[1])]
+        dens = estimate_densities(values, opts["kde_grid"])
         comparison = BandComparison(prior=dens, posterior=dens)
 
     coords = None

@@ -5,9 +5,9 @@ CDF with each Gaussian marginal truncated exactly to the prior box, are
 pushed through a quantity-of-interest surrogate; each output location gets a
 Gaussian-kernel density estimate with Silverman bandwidth (linearly binned
 and convolved by FFT, after Silverman's Algorithm AS 176), a grid-based mode
-and empirical 5%/95% quantiles.  Comparing the posterior band against the
-prior-based band quantifies the uncertainty reduction bought by the
-measurement data.
+and empirical 5%/95% quantiles; every location's density is estimated in
+one batched pass.  Comparing the posterior band against the prior-based band
+quantifies the uncertainty reduction bought by the measurement data.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "sample_posterior",
     "propagate",
     "estimate_density",
+    "estimate_densities",
     "uncertainty_bands",
     "write_bands_csv",
     "write_densities_json",
@@ -171,18 +172,12 @@ class DensityEstimate:
         return self.q95 - self.q05
 
 
-def _silverman_bandwidth(values: np.ndarray, iqr: float) -> float:
-    # 0.9 min(std, IQR/1.34) n^(-1/5); falls back to std when the IQR
-    # collapses under heavy ties
-    std = float(np.std(values, ddof=1))
-    spread = min(std, iqr / 1.34) if iqr > 0.0 else std
-    return 0.9 * spread * len(values) ** (-0.2)
+def estimate_densities(values: np.ndarray,
+                       grid_size: int = KDE_GRID_SIZE) -> list[DensityEstimate]:
+    """Binned Gaussian KDE, with Silverman bandwidth, of each column of an
+    (n, P) array: one DensityEstimate per column, each on its own uniform grid.
 
-
-def estimate_density(values: np.ndarray, grid_size: int = KDE_GRID_SIZE) -> DensityEstimate:
-    """Binned Gaussian KDE with Silverman bandwidth on a uniform grid.
-
-    The grid covers [min - 3h, max + 3h] so that virtually all kernel mass is
+    Each grid covers [min - 3h, max + 3h] so that virtually all kernel mass is
     captured.  While one grid cell is at most about one bandwidth, the
     trapezoid integral of the density is 1 to about 1e-3; every bounded
     surrogate output meets that.  Heavy tails stretch the fixed grid past it,
@@ -197,45 +192,82 @@ def estimate_density(values: np.ndarray, grid_size: int = KDE_GRID_SIZE) -> Dens
     transform", Applied Statistics 1982).  That costs O(n + G log G) instead
     of the O(nG) direct kernel sum, which it matches to within 5e-4 of the
     peak.
+
+    Each statistic is one reduction along the rows of a contiguous transposed
+    copy, which keeps the bits of the 1-D reduction, and the columns that
+    share a refine factor share one bincount pair and one row-batched FFT per
+    batch of at most 2^18 values: each estimate is bit for bit the one its
+    column gets alone.  A constant column has no density and is marked
+    ``degenerate``.
     """
-    values = np.asarray(values, dtype=float).ravel()
-    if len(values) < MIN_KDE_SAMPLES:
-        raise ValueError(f"density estimation needs >= {MIN_KDE_SAMPLES} values, got {len(values)}")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"density estimation takes an (n, P) array, got shape {values.shape}")
+    n = len(values)
+    if n < MIN_KDE_SAMPLES:
+        raise ValueError(f"density estimation needs >= {MIN_KDE_SAMPLES} values, got {n}")
     if grid_size < MIN_KDE_GRID:
         raise ValueError(f"density grid needs >= {MIN_KDE_GRID} points, got {grid_size}")
-    vmin, vmax = float(values.min()), float(values.max())
-    if vmax == vmin:
-        return DensityEstimate(samples=values, bandwidth=0.0,
-                               grid=np.array([vmin]), density=np.array([np.nan]),
-                               mode=vmin, q05=vmin, q95=vmin, degenerate=True)
-    q05, q25, q75, q95 = np.quantile(values, [0.05, 0.25, 0.75, 0.95])
-    h = _silverman_bandwidth(values, q75 - q25)
+    rows = np.ascontiguousarray(values.T)
+    vmin, vmax = rows.min(axis=1), rows.max(axis=1)
+    if not (np.isfinite(vmin).all() and np.isfinite(vmax).all()):
+        raise ValueError("density estimation needs finite values")
+    q05, q25, q75, q95 = np.quantile(rows, [0.05, 0.25, 0.75, 0.95], axis=1)
+    # Silverman: 0.9 min(std, IQR/1.34) n^(-1/5); falls back to std when the
+    # IQR collapses under heavy ties
+    std, iqr = np.std(rows, axis=1, ddof=1), q75 - q25
+    h = 0.9 * np.where(iqr > 0.0, np.minimum(std, iqr / 1.34), std) * n ** (-0.2)
     lo, hi = vmin - 3.0 * h, vmax + 3.0 * h
-    grid = np.linspace(lo, hi, grid_size)
+    out = [None] * len(rows)
+    for c in np.flatnonzero(vmax == vmin):
+        v = float(vmin[c])
+        out[c] = DensityEstimate(samples=rows[c], bandwidth=0.0, grid=np.array([v]),
+                                 density=np.array([np.nan]), mode=v, q05=v, q95=v,
+                                 degenerate=True)
+    step = (hi - lo) / (grid_size - 1)
+    live = np.flatnonzero(vmax != vmin)
     # bin on a grid `refine` times finer than the output grid; linear binning
     # errs by up to about 0.03 (cell / h)^2 of the peak
-    step = (hi - lo) / (grid_size - 1)
-    refine = min(int(np.ceil(KDE_BINS_PER_BANDWIDTH * step / h)), KDE_MAX_REFINE)
-    cells, cell = refine * (grid_size - 1) + 1, step / refine
-    pos = (values - lo) / cell
-    left = np.minimum(pos.astype(np.intp), cells - 2)
-    frac = pos - left
-    bins = (np.bincount(left, weights=1.0 - frac, minlength=cells)
-            + np.bincount(left + 1, weights=frac, minlength=cells))
-    # kernel at lags 0..cells-1 and -(cells-1)..-1; length 2 cells keeps the
-    # circular convolution from wrapping
-    lags = np.exp(-0.5 * (np.arange(cells) * (cell / h)) ** 2)
-    kernel = np.zeros(2 * cells)
-    kernel[:cells] = lags
-    kernel[cells + 1:] = lags[:0:-1]
-    density = np.fft.irfft(np.fft.rfft(bins, 2 * cells) * np.fft.rfft(kernel),
-                           2 * cells)[:cells:refine]
-    # the FFT leaves rounding-sized negatives in the far tails
-    np.maximum(density, 0.0, out=density)
-    density *= 1.0 / (len(values) * h * np.sqrt(2.0 * np.pi))
-    return DensityEstimate(samples=values, bandwidth=h, grid=grid, density=density,
-                           mode=float(grid[np.argmax(density)]),
-                           q05=float(q05), q95=float(q95))
+    refine = np.minimum(np.ceil(KDE_BINS_PER_BANDWIDTH * step[live] / h[live]),
+                        KDE_MAX_REFINE).astype(np.intp)
+    for r in np.unique(refine):
+        cells = r * (grid_size - 1) + 1
+        group = live[refine == r]
+        # 2 MB an array bounds the temporaries, however fine the bins
+        batch = max(1, (1 << 18) // max(n, 2 * cells))
+        for j in (group[i:i + batch] for i in range(0, len(group), batch)):
+            k, cell = len(j), step[j] / r
+            pos = (rows[j] - lo[j, None]) / cell[:, None]
+            left = np.minimum(pos.astype(np.intp), cells - 2)
+            frac = (pos - left).ravel()
+            # each row bins into its own block of `cells`
+            left = (left + cells * np.arange(k)[:, None]).ravel()
+            bins = (np.bincount(left, weights=1.0 - frac, minlength=k * cells)
+                    + np.bincount(left + 1, weights=frac, minlength=k * cells))
+            # kernel at lags 0..cells-1 and -(cells-1)..-1; length 2 cells
+            # keeps the circular convolution from wrapping
+            lags = np.exp(-0.5 * (np.arange(cells) * (cell / h[j])[:, None]) ** 2)
+            kernel = np.zeros((k, 2 * cells))
+            kernel[:, :cells] = lags
+            kernel[:, cells + 1:] = lags[:, :0:-1]
+            density = np.fft.irfft(np.fft.rfft(bins.reshape(k, cells), 2 * cells)
+                                   * np.fft.rfft(kernel), 2 * cells)[:, :cells:r]
+            # the FFT leaves rounding-sized negatives in the far tails
+            np.maximum(density, 0.0, out=density)
+            density *= (1.0 / (n * h[j] * np.sqrt(2.0 * np.pi)))[:, None]
+            grid = np.linspace(lo[j], hi[j], grid_size, axis=1)
+            mode = grid[np.arange(k), np.argmax(density, axis=1)]
+            for i, c in enumerate(j):
+                out[c] = DensityEstimate(samples=rows[c], bandwidth=float(h[c]),
+                                         grid=grid[i], density=density[i],
+                                         mode=float(mode[i]), q05=float(q05[c]),
+                                         q95=float(q95[c]))
+    return out
+
+
+def estimate_density(values: np.ndarray, grid_size: int = KDE_GRID_SIZE) -> DensityEstimate:
+    """The KDE of one sample vector; see estimate_densities."""
+    return estimate_densities(np.reshape(values, (-1, 1)), grid_size)[0]
 
 
 @dataclass
@@ -272,9 +304,8 @@ def uncertainty_bands(prior_spec: PosteriorSpec, prior_surrogate: Surrogate,
     post_samples = sample_posterior(posterior_spec, n, int(child_seeds[1]))
     prior_out = propagate(prior_surrogate, prior_samples)
     post_out = propagate(posterior_surrogate, post_samples)
-    prior_d = [estimate_density(prior_out[:, j], kde_grid_size) for j in range(prior_out.shape[1])]
-    post_d = [estimate_density(post_out[:, j], kde_grid_size) for j in range(post_out.shape[1])]
-    return BandComparison(prior=prior_d, posterior=post_d)
+    return BandComparison(prior=estimate_densities(prior_out, kde_grid_size),
+                          posterior=estimate_densities(post_out, kde_grid_size))
 
 
 def write_bands_csv(path, comparison: BandComparison, location_ids,

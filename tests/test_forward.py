@@ -1,4 +1,5 @@
 import json
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -9,6 +10,11 @@ from sguq.forward import (
     BandComparison,
     _normal_quantile,
     DensityEstimate,
+    KDE_BINS_PER_BANDWIDTH,
+    KDE_MAX_REFINE,
+    MIN_KDE_GRID,
+    MIN_KDE_SAMPLES,
+    estimate_densities,
     estimate_density,
     propagate,
     sample_posterior,
@@ -282,6 +288,119 @@ def test_kde_integral_bound_holds_up_to_one_bandwidth_per_cell():
     d = estimate_density(values)
     assert 0.9 < (d.grid[1] - d.grid[0]) / d.bandwidth <= 1.0
     assert np.trapezoid(d.density, d.grid) == pytest.approx(1.0, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# batched KDE against the per-column estimator it replaced
+# ---------------------------------------------------------------------------
+
+
+def estimate_density_loop(values, grid_size=512):
+    """The per-column binned KDE that estimate_densities batches (the oracle),
+    and the refine factor it binned with (0 for a constant column)."""
+    values = np.asarray(values, dtype=float).ravel()
+    vmin, vmax = float(values.min()), float(values.max())
+    if vmax == vmin:
+        return DensityEstimate(samples=values, bandwidth=0.0,
+                               grid=np.array([vmin]), density=np.array([np.nan]),
+                               mode=vmin, q05=vmin, q95=vmin, degenerate=True), 0
+    q05, q25, q75, q95 = np.quantile(values, [0.05, 0.25, 0.75, 0.95])
+    iqr = q75 - q25
+    std = float(np.std(values, ddof=1))
+    spread = min(std, iqr / 1.34) if iqr > 0.0 else std
+    h = 0.9 * spread * len(values) ** (-0.2)
+    lo, hi = vmin - 3.0 * h, vmax + 3.0 * h
+    grid = np.linspace(lo, hi, grid_size)
+    step = (hi - lo) / (grid_size - 1)
+    refine = min(int(np.ceil(KDE_BINS_PER_BANDWIDTH * step / h)), KDE_MAX_REFINE)
+    cells, cell = refine * (grid_size - 1) + 1, step / refine
+    pos = (values - lo) / cell
+    left = np.minimum(pos.astype(np.intp), cells - 2)
+    frac = pos - left
+    bins = (np.bincount(left, weights=1.0 - frac, minlength=cells)
+            + np.bincount(left + 1, weights=frac, minlength=cells))
+    lags = np.exp(-0.5 * (np.arange(cells) * (cell / h)) ** 2)
+    kernel = np.zeros(2 * cells)
+    kernel[:cells] = lags
+    kernel[cells + 1:] = lags[:0:-1]
+    density = np.fft.irfft(np.fft.rfft(bins, 2 * cells) * np.fft.rfft(kernel),
+                           2 * cells)[:cells:refine]
+    np.maximum(density, 0.0, out=density)
+    density *= 1.0 / (len(values) * h * np.sqrt(2.0 * np.pi))
+    return DensityEstimate(samples=values, bandwidth=h, grid=grid, density=density,
+                           mode=float(grid[np.argmax(density)]),
+                           q05=float(q05), q95=float(q95)), refine
+
+
+def assert_matches_loop(values, grid_size):
+    """estimate_densities equals the per-column oracle bit for bit; returns
+    the oracle's refine factor of each column."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = estimate_densities(values, grid_size)
+    assert len(got) == values.shape[1]
+    refines = []
+    for j, d in enumerate(got):
+        want, refine = estimate_density_loop(values[:, j], grid_size)
+        refines.append(refine)
+        for field in ("bandwidth", "mode", "q05", "q95", "degenerate"):
+            assert getattr(d, field) == getattr(want, field) or (
+                np.isnan(getattr(d, field)) and np.isnan(getattr(want, field))), (j, field)
+        for field in ("samples", "grid", "density"):
+            assert np.array_equal(getattr(d, field), getattr(want, field),
+                                  equal_nan=True), (j, field)
+    return refines
+
+
+def kde_columns(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.normal(0.0, 1.0, n), rng.lognormal(0.0, 1.0, n),
+                            rng.standard_cauchy(n) ** 3, np.full(n, 2.5),
+                            rng.random(n), rng.normal(3.0, 0.1, n),
+                            rng.lognormal(0.0, 0.8, n), rng.normal(-1.0, 2.0, n)])
+
+
+@pytest.mark.parametrize("grid_size", [2, 64, 512])
+@pytest.mark.parametrize("n", [MIN_KDE_SAMPLES, 2000])
+def test_batched_kde_matches_per_column_oracle_bitwise(n, grid_size):
+    refines = assert_matches_loop(kde_columns(n, 21), grid_size)
+    # a constant column between live ones, a heavy-tailed column at the refine
+    # cap, and live columns sharing a refine group; on a finer grid than two
+    # points they fall in two or more groups
+    assert refines[3] == 0
+    assert refines[2] == KDE_MAX_REFINE
+    live = [r for r in refines if r]
+    assert len(live) > len(set(live))
+    assert grid_size == 2 or len(set(live)) >= 2
+
+
+def test_batched_kde_splits_a_large_refine_group_into_batches():
+    # on a two-point grid every live column bins at the refine cap; at this
+    # many samples the seven of them take more than one batch
+    refines = assert_matches_loop(kde_columns(40_000, 24), 2)
+    assert refines.count(KDE_MAX_REFINE) == 7
+
+
+def test_batched_kde_single_column_and_single_column_wrapper():
+    values = kde_columns(2000, 22)
+    assert_matches_loop(values[:, 1:2], 512)
+    d, (want, _) = estimate_density(values[:, 1]), estimate_density_loop(values[:, 1])
+    assert d.bandwidth == want.bandwidth and np.array_equal(d.density, want.density)
+
+
+def test_batched_kde_errors():
+    rng = np.random.default_rng(23)
+    with pytest.raises(ValueError, match=f">= {MIN_KDE_SAMPLES} values, got {MIN_KDE_SAMPLES - 1}"):
+        estimate_densities(rng.normal(size=(MIN_KDE_SAMPLES - 1, 3)))
+    with pytest.raises(ValueError, match=f">= {MIN_KDE_GRID} points, got {MIN_KDE_GRID - 1}"):
+        estimate_densities(rng.normal(size=(500, 3)), MIN_KDE_GRID - 1)
+    for bad in (rng.normal(size=500), rng.normal(size=(500, 2, 2))):
+        with pytest.raises(ValueError, match=r"\(n, P\) array"):
+            estimate_densities(bad)
+    values = rng.normal(size=(500, 3))
+    values[7, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        estimate_densities(values)
 
 
 # ---------------------------------------------------------------------------

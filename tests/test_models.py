@@ -85,8 +85,12 @@ def test_batch_order_preserved():
 # ---------------------------------------------------------------------------
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+# the solver runs in its own interpreter, which sees neither pytest's
+# pythonpath setting nor an installed sguq; it imports this checkout's
 STUB_WRAPPER = """#!{python}
 import csv, sys
+sys.path.insert(0, {src!r})
 import numpy as np
 from sguq.models import beam_proxy, register_builtin
 
@@ -112,7 +116,7 @@ def write_script(path: Path, body: str):
 @pytest.fixture
 def stub_command(tmp_path):
     script = tmp_path / "solver.py"
-    write_script(script, STUB_WRAPPER.format(python=sys.executable))
+    write_script(script, STUB_WRAPPER.format(python=sys.executable, src=str(SRC)))
     return [sys.executable, str(script)]
 
 
