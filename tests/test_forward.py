@@ -344,8 +344,7 @@ def assert_matches_loop(values, grid_size):
         want, refine = estimate_density_loop(values[:, j], grid_size)
         refines.append(refine)
         for field in ("bandwidth", "mode", "q05", "q95", "degenerate"):
-            assert getattr(d, field) == getattr(want, field) or (
-                np.isnan(getattr(d, field)) and np.isnan(getattr(want, field))), (j, field)
+            assert getattr(d, field) == getattr(want, field), (j, field)
         for field in ("samples", "grid", "density"):
             assert np.array_equal(getattr(d, field), getattr(want, field),
                                   equal_nan=True), (j, field)
@@ -375,8 +374,8 @@ def test_batched_kde_matches_per_column_oracle_bitwise(n, grid_size):
 
 
 def test_batched_kde_splits_a_large_refine_group_into_batches():
-    # on a two-point grid every live column bins at the refine cap; at this
-    # many samples the seven of them take more than one batch
+    # on a two-point grid every live column bins at the refine cap; a batch of
+    # 2^18 values holds six columns of 40000, so the seven take two batches
     refines = assert_matches_loop(kde_columns(40_000, 24), 2)
     assert refines.count(KDE_MAX_REFINE) == 7
 
