@@ -119,11 +119,7 @@ Config = namedtuple("Config", "raw space handle stages fixed runs")
 
 def _load_config(path: str, command: str) -> Config:
     """Read a config and check all of it, before any stage runs a solver."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    raw = _read_json_file(path, "config", lambda data: data)
     try:
         space = _space_from_json(raw["space"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -295,7 +291,7 @@ def _read_json_file(path, what: str, parse):
         return parse(data)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {what} {path}: {exc!r}") from exc
 
 
@@ -399,9 +395,8 @@ def _reduced_space(config: Config, out: Path) -> ParameterSpace:
     space, dims = config.space, config.stages["inversion"]["dims"]
     sobol_file = out / "gsa" / "sobol.json"
     if dims is None and sobol_file.exists():
-        with open(sobol_file) as fh:
-            data = json.load(fh)
-        dims = [data["dim_names"][i] for i in data.get("keep", range(len(data["dim_names"])))]
+        dims = _read_json_file(sobol_file, "screening result", lambda data: [
+            data["dim_names"][i] for i in data.get("keep", range(len(data["dim_names"])))])
         _require(set(dims) <= set(space.names), f"the keep list of {sobol_file}",
                  "names in the parameter space", dims)
         for name in config.stages["inversion"]["fixed_values"] or {}:
@@ -501,11 +496,12 @@ def _read_posterior(path: str, space: ParameterSpace) -> PosteriorSpec:
 def _read_prior_surrogate(path: Path, space: ParameterSpace, names) -> Surrogate:
     """The inversion stage's surrogate in ``path``, on ``space``, cut to the outputs ``names``."""
     def parse(data):
-        full = surrogate_from_json_dict(data)
-        if full.grid.space != space:
+        ids = [data["output_names"].index(n) for n in names]
+        surrogate = surrogate_from_json_dict(
+            {**data, "values": [data["values"][i] for i in ids], "output_names": names})
+        if surrogate.grid.space != space:
             raise ConfigError(f"prior surrogate {path} is built on another parameter space")
-        ids = [full.output_names.index(n) for n in names]
-        return Surrogate(grid=full.grid, values=full.values[:, ids], output_names=tuple(names))
+        return surrogate
 
     return _read_json_file(path, "prior surrogate", parse)
 
@@ -513,6 +509,8 @@ def _read_prior_surrogate(path: Path, space: ParameterSpace, names) -> Surrogate
 def run_forward(config: Config, out: Path, validate: bool = False,
                 compare_prior: bool = False, prior_only: bool = False,
                 densities: bool = False) -> dict:
+    if prior_only and compare_prior:
+        raise ConfigError("--compare-prior needs a posterior to compare; drop --prior-only")
     opts, handle = config.stages["forward"], config.handle
     qoi_ids = opts["qoi_outputs"]
     qoi_names = [handle.output_names[i] for i in qoi_ids]
@@ -525,8 +523,7 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     else:
         posterior_file = opts["posterior_file"] or str(out / "invert" / "posterior.json")
         posterior = _read_posterior(posterior_file, config.space)
-    compare = compare_prior and not prior_only
-    if compare:
+    if compare_prior:
         # one model view serves both: the prior space has the posterior's names
         prior_space = _reduced_space(config, out)
         if prior_space.names != posterior.space.names:
@@ -548,7 +545,7 @@ def run_forward(config: Config, out: Path, validate: bool = False,
         val_samples = sample_posterior(posterior, opts["validation_samples"],
                                        opts["validation_seed"])
         rows.append(val_samples)
-    fresh_prior = compare and prior_surrogate is None
+    fresh_prior = compare_prior and prior_surrogate is None
     if fresh_prior:
         prior_grid = _stage_grid(prior_space, opts["kind"], opts["w"])
         rows.append(prior_grid.points)
@@ -564,7 +561,7 @@ def run_forward(config: Config, out: Path, validate: bool = False,
                     _validation_table(grid, opts, model, qoi_ids, val_samples))
         files["validation"] = "forward/validation.json"
 
-    if compare:
+    if compare_prior:
         if fresh_prior:
             ran, reused = model.evaluations, model.reused
             prior_surrogate = _build_stage_surrogate(prior_grid, model, qoi_ids)

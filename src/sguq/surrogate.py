@@ -10,7 +10,9 @@ built here without them.  Combination coefficients only fix the order of the
 points (first appearance in the tensor grids of nonzero coefficient, in
 index-set order) and are written with the serialized index set.
 
-A grid is stored as its M points and their degrees.  A surrogate stores its
+A grid is stored as its M points and their degrees.  A saved surrogate is
+read back as its stored points and values, with the degrees of its index set;
+no knot is searched for again.  A surrogate stores its
 interpolant once, as coefficients in a product basis that is orthonormal per
 dimension: Legendre polynomials for a uniform parameter, probabilists' Hermite
 polynomials for a Gaussian one.  They are computed in Newton form on Lambda:
@@ -38,8 +40,7 @@ from .indices import (
     index_set_from_json_dict,
     index_set_to_json_dict,
 )
-from .knots import (GAUSSIAN_SEARCH_HALFWIDTH, REFINE_TOL, knots_for_level, level_to_knots,
-                    symmetric_gaussian_leja, symmetric_leja)
+from .knots import knots_for_level, level_to_knots, symmetric_gaussian_leja, symmetric_leja
 
 __all__ = [
     "Uniform",
@@ -56,12 +57,8 @@ __all__ = [
     "surrogate_from_json_dict",
 ]
 
-#: two distinct knots closer than this (relative to the per-dim scale) are a bug
+#: two distinct knots closer than this (relative to the per-dim scale) are an error
 DEDUP_RTOL = 1e-12
-#: serialized points may sit this far (relative to the per-dim scale) from the rebuilt
-#: grid's: knots are refined to REFINE_TOL of a search half-width of at most 20 stds,
-#: and two versions of the knot search agree to twice that
-POINT_RTOL = 2.0 * REFINE_TOL * GAUSSIAN_SEARCH_HALFWIDTH
 #: points per block in batch evaluation; bounds the (block x M) basis matrix
 EVAL_BLOCK_ROWS = 256
 
@@ -164,49 +161,58 @@ class SparseGrid:
     """The points of a downward-closed index set and their lower set of degrees.
 
     Point i sits at position ``degrees[i, n]`` of dimension n's nested knots,
-    also its modal degree.
+    also its modal degree.  Construction checks that each degree's points share
+    one finite knot per dimension, at least DEDUP_RTOL of its scale from the others.
     """
 
     space: ParameterSpace
     index_set: MultiIndexSet
-    points: np.ndarray                            # (M, N) deduplicated
+    points: np.ndarray                            # (M, N)
     degrees: np.ndarray                           # (M, N) per-dim knot position
+
+    def __post_init__(self):
+        if self.points.shape != self.degrees.shape or self.degrees.shape[1] != self.space.n_dims:
+            raise ValueError(f"{self.points.shape} points and {self.degrees.shape} degrees "
+                             f"do not fit a space of dimension {self.space.n_dims}")
+        for n, scale in enumerate(self.space.scales()):
+            knots = self.knots(n)
+            if not (np.array_equal(self.points[:, n], knots[self.degrees[:, n]])
+                    and np.isfinite(knots).all()
+                    and np.all(np.diff(np.sort(knots)) >= DEDUP_RTOL * scale)):
+                raise ValueError(
+                    f"the points of dimension {self.space.names[n]!r} are not one finite knot "
+                    f"per degree, at least {DEDUP_RTOL} relative distance apart")
 
     @property
     def n_points(self) -> int:
         return len(self.points)
 
+    def knots(self, n: int) -> np.ndarray:
+        """Dimension n's knots by degree: the coordinate of its points of degree 0, 1, ..."""
+        return self.points[np.unique(self.degrees[:, n], return_index=True)[1], n]
+
 
 def build_sparse_grid(space: ParameterSpace, mset: MultiIndexSet) -> SparseGrid:
     """Assemble the sparse grid for a space and a downward-closed index set."""
-    if mset.dim != space.n_dims:
-        raise ValueError(
-            f"index set dimension {mset.dim} does not match space dimension {space.n_dims}")
-    top = np.max(mset.indices, axis=0)
+    degrees = _grid_degrees(mset)
     # nested sequences: every grid's knots are prefixes of these, bit for bit
-    sequences = [knots_for_level(d.dist, int(t)) for d, t in zip(space.dims, top)]
-    _assert_separated(sequences, space.scales())
-
-    # a point is identified by its per-dim knot positions, which are also its
-    # modal degrees; global ids follow their first appearance in the tensor grids
-    # of nonzero combination coefficient, the order surrogate.json was written in
-    coeffs = combination_coefficients(mset)
-    positions = np.vstack([np.indices([level_to_knots(i) for i in idx]).reshape(mset.dim, -1).T
-                           for idx in mset.indices if coeffs[idx] != 0])
-    _, first = np.unique(positions, axis=0, return_index=True)
-    degrees = positions[np.sort(first)]
+    sequences = [knots_for_level(d.dist, int(t))
+                 for d, t in zip(space.dims, np.max(mset.indices, axis=0))]
     points = np.column_stack([seq[degrees[:, n]] for n, seq in enumerate(sequences)])
     return SparseGrid(space=space, index_set=mset, points=points, degrees=degrees)
 
 
-def _assert_separated(sequences, scales: np.ndarray):
-    # points are products of per-dim knots, so distinct points are separated
-    # iff the knots of every dimension are; knots closer than DEDUP_RTOL
-    # indicate a broken knot cache
-    for n, seq in enumerate(sequences):
-        if np.any(np.diff(np.sort(seq)) < DEDUP_RTOL * scales[n]):
-            raise AssertionError(
-                f"two knots of dimension {n} are within {DEDUP_RTOL} relative distance")
+def _grid_degrees(mset: MultiIndexSet) -> np.ndarray:
+    """(M, N) per-dim knot positions, also modal degrees, of a grid's points, in stored order.
+
+    Global ids follow the points' first appearance in the tensor grids of
+    nonzero combination coefficient, the order surrogate.json is written in.
+    """
+    coeffs = combination_coefficients(mset)
+    positions = np.vstack([np.indices([level_to_knots(i) for i in idx]).reshape(mset.dim, -1).T
+                           for idx in mset.indices if coeffs[idx] != 0])
+    _, first = np.unique(positions, axis=0, return_index=True)
+    return positions[np.sort(first)]
 
 
 def _recurrence(dist, degree: int) -> tuple[float, float, list[float]]:
@@ -277,7 +283,7 @@ def _modal_coefficients(grid: SparseGrid, values: np.ndarray, recurrences) -> np
     out = values.copy()
     newton, change = [], []
     for n, (center, half, b) in enumerate(recurrences):
-        t = (grid.points[np.unique(grid.degrees[:, n], return_index=True)[1], n] - center) / half
+        t = (grid.knots(n) - center) / half
         # newton[i, j] = prod_{l < j} (t_i - t_l); column j of T is that product in phi_0..phi_K
         newton.append(np.cumprod(np.column_stack([np.ones_like(t), t[:, None] - t[:-1]]), axis=1))
         jacobi, T = np.diag(b, 1) + np.diag(b, -1), np.eye(len(t))
@@ -481,12 +487,9 @@ def surrogate_to_json_dict(surrogate: Surrogate) -> dict:
 
 
 def surrogate_from_json_dict(data: dict) -> Surrogate:
-    space = _space_from_json(data["space"])
+    """A saved surrogate as stored: its points and values, with degrees from its index set."""
     mset, _ = index_set_from_json_dict(data["index_set"])
-    grid = build_sparse_grid(space, mset)
-    points = np.array(data["points"], dtype=float)
-    if points.shape != grid.points.shape or not np.all(
-            np.abs(points - grid.points) <= POINT_RTOL * space.scales()):
-        raise ValueError("serialized points do not match the rebuilt sparse grid")
+    grid = SparseGrid(space=_space_from_json(data["space"]), index_set=mset,
+                      points=np.array(data["points"], dtype=float), degrees=_grid_degrees(mset))
     values = np.array(data["values"], dtype=float).T
     return Surrogate(grid=grid, values=values, output_names=tuple(data["output_names"]))

@@ -11,7 +11,8 @@ import pytest
 from sguq.cli import Config, StageModel, _load_config, main
 from sguq.indices import generate_index_set
 from sguq.knots import symmetric_leja
-from sguq.surrogate import ParameterSpace, Uniform, build_sparse_grid
+from sguq.surrogate import (ParameterSpace, Surrogate, Uniform, build_sparse_grid,
+                            surrogate_to_json_dict)
 
 
 def beam_config(**overrides):
@@ -395,6 +396,16 @@ def test_forward_prior_only_runs_standalone(tmp_path):
     assert len(densities) == 120 and len(densities[0]["posterior"]["grid"]) == 512
 
 
+def test_forward_prior_only_with_compare_prior_exits_2_before_any_solver_run(tmp_path, capsys):
+    # a prior-only run has no posterior to compare the prior with
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
+    cfg["model"] = failing_model(tmp_path)
+    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                 "--prior-only", "--compare-prior"]) == 2
+    assert "--compare-prior" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 def test_forward_prior_only_propagates_a_gaussian_prior(tmp_path):
     # the Gaussian prior dimension has no box; it is sampled untruncated
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
@@ -705,6 +716,23 @@ def test_stale_screening_keep_list_exits_2(tmp_path, capsys):
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("sobol", [
+    "{not json",
+    {"keep": [0, 2]},
+    {"dim_names": ["T_A", "log_h_g", "log_h_p"], "keep": [0, 7]},
+], ids=["malformed", "no_dim_names", "keep_out_of_range"])
+def test_bad_screening_result_exits_2_before_any_solver_run(tmp_path, capsys, sobol):
+    out = tmp_path / "o"
+    path = out / "gsa" / "sobol.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(sobol if isinstance(sobol, str) else json.dumps(sobol))
+    cfg = beam_config()
+    cfg["model"] = failing_model(tmp_path)
+    assert main(["invert", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 def test_posterior_names_outside_the_space_exit_2_before_any_solver_run(tmp_path, capsys):
     # a misspelt name would be sampled but never reach the model
     posterior = {"names": ["T_A", "log_hp"],
@@ -728,6 +756,23 @@ GOOD_POSTERIOR = {"names": ["T_A", "log_h_p"],
                   "prior_box": [[1130.0, -5.0], [1450.0, 0.0]]}
 
 
+def saved_prior_surrogate(point, log_h_p):
+    """A saved prior surrogate on [T_A, log_h_p] with point ``point`` moved to ``log_h_p``.
+
+    None deletes the point.  The log_h_p knots of degrees 0, 1, 2 are 0, -5, -2.5;
+    point 7 has degrees [1, 1] and point 3, the only one of log_h_p degree 3, [0, 3].
+    """
+    space = ParameterSpace.from_pairs([("T_A", Uniform(1130, 1450)), ("log_h_p", Uniform(-5, 0))])
+    grid = build_sparse_grid(space, generate_index_set("sum", 2, 2))
+    data = surrogate_to_json_dict(
+        Surrogate(grid, np.zeros((grid.n_points, 3)), ("u_1", "u_2", "eps_1")))
+    if log_h_p is None:
+        del data["points"][point]
+    else:
+        data["points"][point][1] = log_h_p
+    return data
+
+
 @pytest.mark.parametrize("posterior, surrogate", [
     ({**GOOD_POSTERIOR, "marginals": [{"type": "gaussian", "mean": 1340.0},
                                       GOOD_POSTERIOR["marginals"][1]]}, None),
@@ -743,9 +788,15 @@ GOOD_POSTERIOR = {"names": ["T_A", "log_h_p"],
                                       {"type": "uniform", "a": -9.0, "b": -6.0}]}, None),
     (GOOD_POSTERIOR, "{not json"),
     (GOOD_POSTERIOR, {"space": [{"name": "T_A", "distribution": "uniform"}]}),
+    (GOOD_POSTERIOR, saved_prior_surrogate(7, -1.0)),
+    (GOOD_POSTERIOR, saved_prior_surrogate(3, None)),
+    (GOOD_POSTERIOR, saved_prior_surrogate(3, -5.0)),
+    (GOOD_POSTERIOR, saved_prior_surrogate(3, float("inf"))),
 ], ids=["no_std", "malformed_posterior", "beta_marginal", "zero_std", "one_marginal",
         "one_box_column", "reversed_box", "uniform_outside_box", "malformed_surrogate",
-        "surrogate_without_range"])
+        "surrogate_without_range", "surrogate_point_off_its_degree",
+        "surrogate_missing_a_point", "surrogate_degrees_sharing_a_knot",
+        "surrogate_point_at_infinity"])
 def test_bad_forward_input_file_exits_2_before_any_solver_run(tmp_path, capsys, posterior,
                                                               surrogate):
     # the solver always fails, so a solver run before the file check would exit 3

@@ -9,7 +9,6 @@ from sguq.indices import (MultiIndexSet, combination_coefficients, explicit_inde
                           generate_index_set)
 from sguq.models import beam_proxy, ishigami
 from sguq.surrogate import (
-    POINT_RTOL,
     ExtrapolationWarning,
     Gaussian,
     ParameterSpace,
@@ -589,13 +588,38 @@ def test_surrogate_json_round_trip_is_exact():
     assert back.evaluate(v).tolist() == sur.evaluate(v).tolist()
 
 
-def test_surrogate_json_with_a_moved_point_is_rejected():
+def gaussian_uniform_surrogate_json():
     space = ParameterSpace.from_pairs([("t", Gaussian(3.0, 0.5)), ("x", Uniform(-5, 0))])
     grid = build_sparse_grid(space, generate_index_set("sum", 2, 2))
-    data = surrogate_to_json_dict(Surrogate.from_model(grid, lambda p: p[:, :1]))
-    data["points"][3][1] += 10 * POINT_RTOL * 5.0
-    with pytest.raises(ValueError, match="rebuilt sparse grid"):
+    return surrogate_to_json_dict(Surrogate.from_model(
+        grid, lambda p: np.column_stack([np.sin(p[:, 0]), p[:, 1] ** 3])))
+
+
+def test_surrogate_json_with_a_moved_point_is_rejected():
+    # point 7 has degrees [1, 1]; point 1 has x-degree 1 too, so the two disagree on its knot
+    data = gaussian_uniform_surrogate_json()
+    data["points"][7][1] += 2e-10
+    with pytest.raises(ValueError, match="one finite knot per degree"):
         surrogate_from_json_dict(data)
+
+
+def test_surrogate_json_with_the_only_point_of_a_degree_moved_loads_as_stored():
+    # point 3 is the only point of x-degree 3: moving it gives another valid grid
+    data = gaussian_uniform_surrogate_json()
+    data["points"][3][1] += 0.25
+    sur = surrogate_from_json_dict(data)
+    assert sur.grid.points.tolist() == data["points"]
+    assert np.allclose(sur.evaluate(np.array(data["points"]), warn_outside=False),
+                       np.array(data["values"]).T, rtol=1e-13, atol=1e-12)
+
+
+def test_surrogate_json_loads_without_a_knot_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("knot search on load")
+
+    data = gaussian_uniform_surrogate_json()
+    monkeypatch.setattr("sguq.surrogate.knots_for_level", no_search)
+    assert surrogate_from_json_dict(data).grid.points.tolist() == data["points"]
 
 
 def test_surrogate_json_from_version_0_1_loads_and_evaluates():
@@ -607,3 +631,5 @@ def test_surrogate_json_from_version_0_1_loads_and_evaluates():
     ref = np.array(expected["values"])
     got = sur.evaluate(np.array(expected["points"]), warn_outside=False)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
+    # read at its stored points, not at rebuilt knots up to 1.1e-11 away
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.abs(ref).max()
