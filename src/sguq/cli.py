@@ -263,20 +263,24 @@ def _output_ids(handle, names_or_ids, group: str, key: str):
     if names_or_ids is None:
         ids = getattr(handle, "output_groups", {}).get(group)
         return list(ids) if ids else list(range(handle.n_outputs))
-    _require(isinstance(names_or_ids, list), key, "a list of output names or ids", names_or_ids)
+    return _ids(handle.output_names, names_or_ids, key, "output")
+
+
+def _ids(names, names_or_ids, key: str, what: str) -> list[int]:
+    """Positions in ``names`` of the names or integer ids of ``what`` listed under ``key``."""
+    _require(isinstance(names_or_ids, list), key, f"a list of {what} names or ids", names_or_ids)
     ids = []
     for o in names_or_ids:
         if isinstance(o, str):
-            if o not in handle.output_names:
-                raise ConfigError(f"{key}: unknown model output {o!r}")
-            ids.append(handle.output_names.index(o))
-        elif isinstance(o, int) and not isinstance(o, bool) and 0 <= o < handle.n_outputs:
+            if o not in names:
+                raise ConfigError(f"{key}: unknown {what} {o!r}")
+            ids.append(names.index(o))
+        elif isinstance(o, int) and not isinstance(o, bool) and 0 <= o < len(names):
             ids.append(o)
         else:
-            raise ConfigError(f"{key}: output id {o!r} is not an integer in "
-                              f"[0, {handle.n_outputs})")
+            raise ConfigError(f"{key}: {what} id {o!r} is not an integer in [0, {len(names)})")
     if not ids:
-        raise ConfigError(f"{key}: output selection is empty")
+        raise ConfigError(f"{key}: {what} selection is empty")
     return ids
 
 
@@ -395,10 +399,11 @@ def _reduced_space(config: Config, out: Path) -> ParameterSpace:
     space, dims = config.space, config.stages["inversion"]["dims"]
     sobol_file = out / "gsa" / "sobol.json"
     if dims is None and sobol_file.exists():
+        key = f"the keep list of {sobol_file}"
         dims = _read_json_file(sobol_file, "screening result", lambda data: [
-            data["dim_names"][i] for i in data.get("keep", range(len(data["dim_names"])))])
-        _require(set(dims) <= set(space.names), f"the keep list of {sobol_file}",
-                 "names in the parameter space", dims)
+            data["dim_names"][i] for i in _ids(
+                data["dim_names"], data.get("keep", data["dim_names"]), key, "dimension")])
+        _require(set(dims) <= set(space.names), key, "names in the parameter space", dims)
         for name in config.stages["inversion"]["fixed_values"] or {}:
             if name in dims:
                 _log(f"inversion.fixed_values.{name} is ignored: the screening kept {name}")
@@ -482,7 +487,7 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
 
 
 def _read_posterior(path: str, space: ParameterSpace) -> PosteriorSpec:
-    """The posterior spec in ``path``; its names must be dimensions of ``space``."""
+    """The posterior spec in ``path``, on dimensions of ``space`` and boxed by their ranges."""
     if not Path(path).exists():
         raise ConfigError(f"posterior spec not found: {path} "
                           "(run the inversion stage or pass --prior-only)")
@@ -490,6 +495,11 @@ def _read_posterior(path: str, space: ParameterSpace) -> PosteriorSpec:
     names = posterior.space.names
     _require(set(names) <= set(space.names), f"the names of {path}",
              f"dimensions in {list(space.names)}", list(names))
+    for name, box in zip(names, posterior.prior_box.T.tolist()):
+        dist = space.dims[space.names.index(name)].dist
+        if isinstance(dist, Uniform):
+            _require(box == [dist.a, dist.b], f"the prior box of {name!r} in {path}",
+                     f"the config range {[dist.a, dist.b]}", box)
     return posterior
 
 
@@ -517,21 +527,22 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     stage_dir = out / "forward"
     stage_dir.mkdir(parents=True, exist_ok=True)
 
-    # every input file is read and checked before the first solver run
+    # every input file is read and checked before the first solver run; the saved
+    # surrogate first, as it names the space an inversion on another prior ran on
+    if compare_prior:
+        prior_space = _reduced_space(config, out)
+        prior_spec = PosteriorSpec.from_prior(prior_space)
+        prior_file = out / "invert" / "surrogate.json"
+        prior_surrogate = (_read_prior_surrogate(prior_file, prior_space, qoi_names)
+                           if prior_file.exists() else None)
     if prior_only:
         posterior = PosteriorSpec.from_prior(_reduced_space(config, out))
     else:
         posterior_file = opts["posterior_file"] or str(out / "invert" / "posterior.json")
         posterior = _read_posterior(posterior_file, config.space)
-    if compare_prior:
-        # one model view serves both: the prior space has the posterior's names
-        prior_space = _reduced_space(config, out)
-        if prior_space.names != posterior.space.names:
-            raise ConfigError("prior space dims do not match the posterior spec")
-        prior_spec = PosteriorSpec.from_prior(prior_space)
-        prior_file = out / "invert" / "surrogate.json"
-        prior_surrogate = (_read_prior_surrogate(prior_file, prior_space, qoi_names)
-                           if prior_file.exists() else None)
+    # one model view serves both: the prior space has the posterior's names
+    if compare_prior and prior_space.names != posterior.space.names:
+        raise ConfigError("prior space dims do not match the posterior spec")
 
     # a box that holds no probability of its marginal fails before the first solver run
     sample_posterior(posterior, 1, opts["seed"])
@@ -595,16 +606,6 @@ def run_forward(config: Config, out: Path, validate: bool = False,
             "files": files}
 
 
-def run_pipeline(config: Config, out: Path, validate: bool = False,
-                 compare_prior: bool = False, densities: bool = False) -> dict:
-    stages = {}
-    stages["gsa"] = run_gsa(config, out)
-    stages["invert"] = run_invert(config, out, validate=validate)
-    stages["forward"] = run_forward(config, out, validate=validate,
-                                    compare_prior=compare_prior, densities=densities)
-    return stages
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -643,19 +644,17 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args.config, args.command)
-        if args.command == "gsa":
-            stages = {"gsa": run_gsa(config, out)}
-        elif args.command == "invert":
-            stages = {"invert": run_invert(config, out, validate=args.validate)}
-        elif args.command == "forward":
-            stages = {"forward": run_forward(config, out, validate=args.validate,
-                                             compare_prior=args.compare_prior,
-                                             prior_only=args.prior_only,
-                                             densities=args.densities)}
-        else:
-            stages = run_pipeline(config, out, validate=args.validate,
-                                  compare_prior=args.compare_prior,
-                                  densities=args.densities)
+        # the stages the command names, in order, each from its one call site
+        stages = {}
+        if args.command in ("gsa", "pipeline"):
+            stages["gsa"] = run_gsa(config, out)
+        if args.command in ("invert", "pipeline"):
+            stages["invert"] = run_invert(config, out, validate=args.validate)
+        if args.command in ("forward", "pipeline"):
+            stages["forward"] = run_forward(config, out, validate=args.validate,
+                                            compare_prior=args.compare_prior,
+                                            prior_only=getattr(args, "prior_only", False),
+                                            densities=args.densities)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG

@@ -158,7 +158,6 @@ class DensityEstimate:
     marks a constant sample set, for which no density is defined.
     """
 
-    samples: np.ndarray
     bandwidth: float
     grid: np.ndarray
     density: np.ndarray
@@ -221,9 +220,8 @@ def estimate_densities(values: np.ndarray,
     out = [None] * len(rows)
     for c in np.flatnonzero(vmax == vmin):
         v = float(vmin[c])
-        out[c] = DensityEstimate(samples=rows[c], bandwidth=0.0, grid=np.array([v]),
-                                 density=np.array([np.nan]), mode=v, q05=v, q95=v,
-                                 degenerate=True)
+        out[c] = DensityEstimate(bandwidth=0.0, grid=np.array([v]), density=np.array([np.nan]),
+                                 mode=v, q05=v, q95=v, degenerate=True)
     step = (hi - lo) / (grid_size - 1)
     live = np.flatnonzero(vmax != vmin)
     # bin on a grid `refine` times finer than the output grid; linear binning
@@ -258,10 +256,9 @@ def estimate_densities(values: np.ndarray,
             grid = np.linspace(lo[j], hi[j], grid_size, axis=1)
             mode = grid[np.arange(k), np.argmax(density, axis=1)]
             for i, c in enumerate(j):
-                out[c] = DensityEstimate(samples=rows[c], bandwidth=float(h[c]),
-                                         grid=grid[i], density=density[i],
-                                         mode=float(mode[i]), q05=float(q05[c]),
-                                         q95=float(q95[c]))
+                out[c] = DensityEstimate(bandwidth=float(h[c]), grid=grid[i],
+                                         density=density[i], mode=float(mode[i]),
+                                         q05=float(q05[c]), q95=float(q95[c]))
     return out
 
 

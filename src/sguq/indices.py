@@ -10,11 +10,12 @@ Two standard families are supported:
 * ``sum``:  all i with sum(i_n - 1) <= w  (total-degree style, the usual choice)
 * ``max``:  all i with max(i_n - 1) <= w  (a full tensor grid in disguise)
 
-Arbitrary user-supplied downward-closed sets are accepted as ``explicit``.
+Arbitrary downward-closed sets are ``explicit``.  A set is checked once, when it is made.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -35,15 +36,15 @@ KINDS = ("sum", "max")
 
 @dataclass(frozen=True)
 class MultiIndexSet:
-    """Immutable, lexicographically ordered collection of multi-indices.
+    """Immutable, lexicographically ordered, downward-closed collection of multi-indices.
 
     Attributes
     ----------
     kind : str
         "sum", "max" or "explicit".
     w : int
-        Level budget.  For explicit sets this is the largest total level
-        sum(i_n - 1) found in the set (informative only).
+        Level budget.  A "sum" or "max" set is the whole family of level w;
+        for explicit sets this is the largest total level sum(i_n - 1) in the set.
     dim : int
         Number of parameters; every index has this length.
     indices : tuple of tuples
@@ -65,15 +66,26 @@ class MultiIndexSet:
                 raise ValueError(f"index {idx} has length {len(idx)}, expected {self.dim}")
             if any(c < 1 for c in idx):
                 raise ValueError(f"index {idx} has a component < 1")
+        if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
+            raise ValueError("indices must be sorted lexicographically, without repeats")
+        if not is_downward_closed(self.indices):
+            raise ValueError("index set is not downward-closed")
+        # distinct indices within a family's level bound, as many as the family has, are it
+        total = max(sum(i) for i in self.indices) - self.dim
+        if self.kind == "sum":
+            ok = total <= self.w and len(self) == math.comb(self.w + self.dim, self.dim)
+        elif self.kind == "max":
+            ok = max(map(max, self.indices)) - 1 <= self.w and len(self) == (self.w + 1) ** self.dim
+        else:
+            ok = self.kind == "explicit" and total == self.w
+        if not ok:
+            raise ValueError(f"the indices do not make a {self.kind!r} set of level w={self.w}")
 
     def __len__(self):
         return len(self.indices)
 
     def __iter__(self):
         return iter(self.indices)
-
-    def __contains__(self, idx):
-        return tuple(idx) in set(self.indices)
 
 
 def generate_index_set(kind: str, dim: int, w: int) -> MultiIndexSet:
@@ -87,26 +99,16 @@ def generate_index_set(kind: str, dim: int, w: int) -> MultiIndexSet:
     w : int
         Level budget, >= 0.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    if w < 0:
-        raise ValueError(f"level budget must be >= 0, got {w}")
     kind = kind.lower()
     if kind == "max":
         indices = sorted(product(range(1, w + 2), repeat=dim))
     elif kind == "sum":
-        indices = []
-
-        def _extend(prefix, remaining):
-            if len(prefix) == dim - 1:
-                for t in range(remaining + 1):
-                    indices.append(tuple(prefix) + (t + 1,))
-                return
-            for t in range(remaining + 1):
-                _extend(prefix + (t + 1,), remaining - t)
-
-        _extend((), w)
-        indices.sort()
+        # every index within w unit steps of (1, ..., 1), one total level at a time
+        members = level = {(1,) * dim}
+        for _ in range(w):
+            level = {i[:n] + (i[n] + 1,) + i[n + 1:] for i in level for n in range(dim)}
+            members |= level
+        indices = sorted(members)
     else:
         raise ValueError(f"unknown index-set kind {kind!r}; expected one of {KINDS}")
     return MultiIndexSet(kind=kind, w=w, dim=dim, indices=tuple(indices))
@@ -120,11 +122,8 @@ def explicit_index_set(indices) -> MultiIndexSet:
     idx = sorted({tuple(int(c) for c in i) for i in indices})
     if not idx:
         raise ValueError("empty index collection")
-    dim = len(idx[0])
-    if not is_downward_closed(idx):
-        raise ValueError("index collection is not downward closed")
     w = max(sum(c - 1 for c in i) for i in idx)
-    return MultiIndexSet(kind="explicit", w=w, dim=dim, indices=tuple(idx))
+    return MultiIndexSet(kind="explicit", w=w, dim=len(idx[0]), indices=tuple(idx))
 
 
 def is_downward_closed(indices) -> bool:
@@ -153,8 +152,6 @@ def combination_coefficients(mset: MultiIndexSet) -> dict[MultiIndex, int]:
     member terms: the work is dim times the number of member terms, not 2^dim.
     """
     members = set(mset.indices)
-    if not is_downward_closed(members):
-        raise ValueError("combination coefficients require a downward-closed set")
     coeffs: dict[MultiIndex, int] = {}
     for idx in mset.indices:
         terms = [(idx, 1)]
@@ -177,8 +174,7 @@ def index_set_to_json_dict(mset: MultiIndexSet) -> dict:
     }
 
 
-def index_set_from_json_dict(data: dict) -> tuple[MultiIndexSet, dict[MultiIndex, int]]:
+def index_set_from_json_dict(data: dict) -> MultiIndexSet:
+    """The stored index set; its coefficients follow from the indices and are not read."""
     indices = tuple(tuple(int(c) for c in i) for i in data["indices"])
-    mset = MultiIndexSet(kind=data["kind"], w=int(data["w"]), dim=int(data["N"]), indices=indices)
-    coeffs = {i: int(c) for i, c in zip(indices, data["coefficients"])}
-    return mset, coeffs
+    return MultiIndexSet(kind=data["kind"], w=int(data["w"]), dim=int(data["N"]), indices=indices)

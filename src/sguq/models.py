@@ -281,6 +281,10 @@ class ExternalModel:
                     raise ExternalModelError(
                         f"external model {self.name!r} returned a malformed value on line "
                         f"{line_no} for {label}") from exc
+                for name, value in zip(self.output_names, rows[-1]):
+                    if not np.isfinite(value):
+                        raise ExternalModelError(f"external model {self.name!r} returned {value} "
+                                                 f"for {name!r} on line {line_no} for {label}")
         out = np.array(rows, dtype=float)
         if out.shape != (n_rows, self.n_outputs):
             raise ExternalModelError(

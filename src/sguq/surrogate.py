@@ -488,7 +488,7 @@ def surrogate_to_json_dict(surrogate: Surrogate) -> dict:
 
 def surrogate_from_json_dict(data: dict) -> Surrogate:
     """A saved surrogate as stored: its points and values, with degrees from its index set."""
-    mset, _ = index_set_from_json_dict(data["index_set"])
+    mset = index_set_from_json_dict(data["index_set"])
     grid = SparseGrid(space=_space_from_json(data["space"]), index_set=mset,
                       points=np.array(data["points"], dtype=float), degrees=_grid_degrees(mset))
     values = np.array(data["values"], dtype=float).T

@@ -612,6 +612,26 @@ def launches(log):
     return [int(n) for n in log.read_text().split()] if log.exists() else []
 
 
+@pytest.mark.parametrize("command, row, value", [
+    ("gsa", "t == 1450.0", "math.nan"),
+    ("invert", "t == 1339.8", "-math.inf"),
+], ids=["grid_row", "target_row"])
+def test_non_finite_solver_value_exits_3_on_its_launch(tmp_path, capsys, command, row, value):
+    # the row never enters the run store, so no stage file is written from it
+    model, log = logging_solver(tmp_path)
+    script = tmp_path / "solver.py"
+    script.write_text(script.read_text().replace(
+        "u + [eps]", f"u + [{value} if {row} else eps]"))
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
+    cfg["model"] = model
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "model error" in err and "'eps_1'" in err and "on line 2 " in err
+    assert len(launches(log)) == 1
+    assert list(out.rglob("*.json")) == []
+
+
 def test_external_pipeline_launches_the_solver_once_per_stage(tmp_path):
     model, log = logging_solver(tmp_path)
     cfg = beam_config(forward={"n_samples": 2000, "qoi_outputs": ["eps_1"]})
@@ -720,7 +740,11 @@ def test_stale_screening_keep_list_exits_2(tmp_path, capsys):
     "{not json",
     {"keep": [0, 2]},
     {"dim_names": ["T_A", "log_h_g", "log_h_p"], "keep": [0, 7]},
-], ids=["malformed", "no_dim_names", "keep_out_of_range"])
+    {"dim_names": ["T_A", "log_h_g", "log_h_p"], "keep": [0, -1]},
+    {"dim_names": ["T_A", "log_h_g", "log_h_p"], "keep": [True, 2]},
+    {"dim_names": ["T_A", "log_h_g", "log_h_p"], "keep": [0.0]},
+], ids=["malformed", "no_dim_names", "keep_out_of_range", "keep_negative", "keep_bool",
+        "keep_float"])
 def test_bad_screening_result_exits_2_before_any_solver_run(tmp_path, capsys, sobol):
     out = tmp_path / "o"
     path = out / "gsa" / "sobol.json"
@@ -756,8 +780,9 @@ GOOD_POSTERIOR = {"names": ["T_A", "log_h_p"],
                   "prior_box": [[1130.0, -5.0], [1450.0, 0.0]]}
 
 
-def saved_prior_surrogate(point, log_h_p):
-    """A saved prior surrogate on [T_A, log_h_p] with point ``point`` moved to ``log_h_p``.
+def saved_prior_surrogate(point, log_h_p, **index_set):
+    """A saved prior surrogate on [T_A, log_h_p] with point ``point`` moved to ``log_h_p``
+    and the ``index_set`` entries replaced.
 
     None deletes the point.  The log_h_p knots of degrees 0, 1, 2 are 0, -5, -2.5;
     point 7 has degrees [1, 1] and point 3, the only one of log_h_p degree 3, [0, 3].
@@ -770,6 +795,7 @@ def saved_prior_surrogate(point, log_h_p):
         del data["points"][point]
     else:
         data["points"][point][1] = log_h_p
+    data["index_set"].update(index_set)
     return data
 
 
@@ -792,11 +818,16 @@ def saved_prior_surrogate(point, log_h_p):
     (GOOD_POSTERIOR, saved_prior_surrogate(3, None)),
     (GOOD_POSTERIOR, saved_prior_surrogate(3, -5.0)),
     (GOOD_POSTERIOR, saved_prior_surrogate(3, float("inf"))),
+    ({**GOOD_POSTERIOR, "prior_box": [[1000.0, -5.0], [2000.0, 0.0]]}, None),
+    # point 7 stays on its knot: only the labels are wrong
+    (GOOD_POSTERIOR, saved_prior_surrogate(7, -5.0, w=3)),
+    (GOOD_POSTERIOR, saved_prior_surrogate(7, -5.0, kind="max")),
 ], ids=["no_std", "malformed_posterior", "beta_marginal", "zero_std", "one_marginal",
         "one_box_column", "reversed_box", "uniform_outside_box", "malformed_surrogate",
         "surrogate_without_range", "surrogate_point_off_its_degree",
         "surrogate_missing_a_point", "surrogate_degrees_sharing_a_knot",
-        "surrogate_point_at_infinity"])
+        "surrogate_point_at_infinity", "box_off_the_config_range",
+        "surrogate_index_set_of_another_level", "surrogate_index_set_of_another_kind"])
 def test_bad_forward_input_file_exits_2_before_any_solver_run(tmp_path, capsys, posterior,
                                                               surrogate):
     # the solver always fails, so a solver run before the file check would exit 3

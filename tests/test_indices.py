@@ -20,6 +20,29 @@ def brute_force_sum_set(dim, w):
                   if sum(c - 1 for c in i) <= w)
 
 
+def recursive_sum_set(dim, w):
+    """The recursive generator generate_index_set used for "sum" sets, kept as oracle."""
+    indices = []
+
+    def _extend(prefix, remaining):
+        if len(prefix) == dim - 1:
+            for t in range(remaining + 1):
+                indices.append(tuple(prefix) + (t + 1,))
+            return
+        for t in range(remaining + 1):
+            _extend(prefix + (t + 1,), remaining - t)
+
+    _extend((), w)
+    indices.sort()
+    return tuple(indices)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_sum_sets_match_the_recursive_generator(dim):
+    for w in range(5):
+        assert generate_index_set("sum", dim, w).indices == recursive_sum_set(dim, w)
+
+
 def test_sum_2_3_exact_members():
     ms = generate_index_set("sum", 2, 3)
     assert ms.indices == (
@@ -136,9 +159,29 @@ def test_coefficients_match_full_shift_sum_on_explicit_sets():
 
 
 def test_coefficients_reject_non_downward_closed():
-    ms = MultiIndexSet(kind="explicit", w=1, dim=2, indices=((1, 1), (2, 2)))
     with pytest.raises(ValueError):
-        combination_coefficients(ms)
+        combination_coefficients(MultiIndexSet(kind="explicit", w=1, dim=2,
+                                               indices=((1, 1), (2, 2))))
+
+
+@pytest.mark.parametrize("kind,w,indices,match", [
+    ("explicit", 0, (), "empty index collection"),
+    ("explicit", 1, ((1, 1), (2, 1), (1, 2))[::-1], "sorted"),
+    ("explicit", 1, ((1, 1), (1, 2), (1, 2), (2, 1)), "repeats"),
+    ("explicit", 2, ((1, 1), (2, 2)), "downward-closed"),
+    ("explicit", 2, ((1, 1), (1, 2), (2, 1)), "'explicit' set of level w=2"),
+    ("sum", 3, generate_index_set("sum", 2, 2).indices, "'sum' set of level w=3"),
+    ("sum", 1, generate_index_set("sum", 2, 2).indices, "'sum' set of level w=1"),
+    ("sum", 2, generate_index_set("max", 2, 1).indices, "'sum' set of level w=2"),
+    ("max", 2, generate_index_set("max", 2, 1).indices, "'max' set of level w=2"),
+    ("max", 2, generate_index_set("sum", 2, 4).indices, "'max' set of level w=2"),
+    ("simplex", 1, ((1, 1), (1, 2), (2, 1)), "'simplex' set of level w=1"),
+], ids=["empty", "unsorted", "repeated", "not_closed", "explicit_wrong_w", "sum_w2_labeled_w3",
+        "sum_w2_labeled_w1", "max_w1_labeled_sum", "max_w1_labeled_w2", "sum_w4_labeled_max",
+        "unknown_kind"])
+def test_index_set_is_checked_when_made(kind, w, indices, match):
+    with pytest.raises(ValueError, match=match):
+        MultiIndexSet(kind=kind, w=w, dim=2, indices=indices)
 
 
 def test_explicit_set_accepts_any_downward_closed_collection():
@@ -151,10 +194,9 @@ def test_explicit_set_accepts_any_downward_closed_collection():
 
 def test_json_round_trip():
     ms = generate_index_set("sum", 3, 2)
-    coeffs = combination_coefficients(ms)
     blob = json.dumps(index_set_to_json_dict(ms))
-    ms2, coeffs2 = index_set_from_json_dict(json.loads(blob))
+    ms2 = index_set_from_json_dict(json.loads(blob))
     assert ms2 == ms
-    assert coeffs2 == coeffs
+    assert combination_coefficients(ms2) == combination_coefficients(ms)
     data = json.loads(blob)
     assert data["kind"] == "sum" and data["w"] == 2 and data["N"] == 3

@@ -51,7 +51,8 @@ def test_traced_model_rows_equal_the_manifest_counts(tmp_path):
         "manifest = json.load(open('o/manifest.json'))\n"
         "print(json.dumps({'code': code, 'rows': tracing.solver_rows(recorder.spans),\n"
         "                  'counted': manifest['total_model_evaluations']\n"
-        "                  + manifest['data_evaluations']}))\n")
+        "                  + manifest['data_evaluations'],\n"
+        "                  'spans': sorted({s[2] for s in recorder.spans})}))\n")
     path = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
@@ -60,3 +61,5 @@ def test_traced_model_rows_equal_the_manifest_counts(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0
     assert result["rows"] == result["counted"] == 151
+    # the benchmark times each stage through these spans
+    assert {"cli.run_gsa", "cli.run_invert", "cli.run_forward"} <= set(result["spans"])
