@@ -281,6 +281,9 @@ def _ids(names, names_or_ids, key: str, what: str) -> list[int]:
             raise ConfigError(f"{key}: {what} id {o!r} is not an integer in [0, {len(names)})")
     if not ids:
         raise ConfigError(f"{key}: {what} selection is empty")
+    for k, i in enumerate(ids):
+        if i in ids[:k]:
+            raise ConfigError(f"{key}: {what} {names[i]!r} is listed more than once")
     return ids
 
 
@@ -323,22 +326,23 @@ def _build_stage_surrogate(grid, model: StageModel, ids):
                                 output_names=[names[i] for i in ids])
 
 
-def _validation_table(grid, opts: dict, model: StageModel, ids, samples) -> dict:
-    """Validation errors of the selected outputs at every level budget w = 0..opts["w"].
+def _validation_table(surrogate: Surrogate, outputs, samples, reference) -> dict:
+    """Validation errors of the columns ``outputs`` at every level budget w = 0..top.
 
-    ``grid`` is the stage's grid, of level opts["w"]; the lower levels are nested in it.
+    ``surrogate`` is the stage's, of level top.  Each level is read off it, as the
+    lower levels' grids are nested in its grid.  ``reference`` holds the model's
+    values of those outputs at ``samples``.
     """
-    names = [model.handle.output_names[i] for i in ids]
-    ref = model(samples)[:, ids]
+    mset = surrogate.grid.index_set
+    names = [surrogate.output_names[k] for k in outputs]
     per_output = {n: {"e_ppe": [], "e_mse": []} for n in names}
-    for w in range(opts["w"] + 1):
-        level = grid if w == opts["w"] else _stage_grid(grid.space, opts["kind"], w)
-        err = validation_errors(_build_stage_surrogate(level, model, ids), ref, samples)
+    for w in range(mset.w + 1):
+        level = surrogate.restrict(generate_index_set(mset.kind, mset.dim, w), outputs)
+        err = validation_errors(level, reference, samples)
         for j, n in enumerate(names):
             per_output[n]["e_ppe"].append(float(err.e_ppe[j]))
             per_output[n]["e_mse"].append(float(err.e_mse[j]))
-    return {"w": list(range(opts["w"] + 1)), "n_samples": int(opts["validation_samples"]),
-            "outputs": per_output}
+    return {"w": list(range(mset.w + 1)), "n_samples": len(samples), "outputs": per_output}
 
 
 def _utc_timestamp() -> str:
@@ -378,6 +382,10 @@ def run_gsa(config: Config, out: Path) -> dict:
 
     result = sobol_indices(surrogate)
     ranking = rank_parameters(result, opts["threshold"], outputs=opts["outputs"])
+    if not ranking["keep"]:
+        raise ValueError(f"gsa: no dimension reaches gsa.threshold {opts['threshold']} at "
+                         f"gsa.w={opts['w']}; the largest total index is "
+                         f"{result.total[opts['outputs']].max():.3g}")
     data = sobol_result_to_json_dict(result, opts["threshold"], ranking)
     data.update(sample_size=opts["n_samples"], seed=opts["seed"])
     _write_json(stage_dir / "sobol.json", data)
@@ -454,8 +462,9 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     files = {"surrogate": "invert/surrogate.json",
              "measurements": "invert/measurements.json"}
     if validate:
+        ids = list(meas.location_ids)
         _write_json(stage_dir / "validation.json",
-                    _validation_table(grid, opts, model, list(meas.location_ids), samples))
+                    _validation_table(surrogate, ids, samples, model(samples)[:, ids]))
         files["validation"] = "invert/validation.json"
         _log(f"invert: validation at w=0..{opts['w']} done")
 
@@ -569,7 +578,8 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     files = {}
     if validate:
         _write_json(stage_dir / "validation.json",
-                    _validation_table(grid, opts, model, qoi_ids, val_samples))
+                    _validation_table(surrogate, range(surrogate.n_outputs), val_samples,
+                                      model(val_samples)[:, qoi_ids]))
         files["validation"] = "forward/validation.json"
 
     if compare_prior:

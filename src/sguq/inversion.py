@@ -195,7 +195,7 @@ def find_map(surrogate: Surrogate, meas: Measurements, n_starts: int = 16,
         return surrogate.evaluate(lo + z * width, warn_outside=False)[ids] - meas.values
 
     def jacobian(z):
-        return surrogate.derivatives(lo + z * width, order=1)[1][ids] * width
+        return surrogate.jacobian(lo + z * width)[ids] * width
 
     raw, starts = [], []
     for z0 in _latin_hypercube(n_starts, space.n_dims, seed):

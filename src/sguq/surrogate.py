@@ -12,15 +12,16 @@ index-set order) and are written with the serialized index set.
 
 A grid is stored as its M points and their degrees.  A saved surrogate is
 read back as its stored points and values, with the degrees of its index set;
-no knot is searched for again.  A surrogate stores its
-interpolant once, as coefficients in a product basis that is orthonormal per
-dimension: Legendre polynomials for a uniform parameter, probabilists' Hermite
-polynomials for a Gaussian one.  They are computed in Newton form on Lambda:
-divided differences along the fibers of each axis, then one Newton ->
-orthonormal change of basis per axis.  Evaluation, Jacobians, Hessians and
-that change of basis use one three-term recurrence per dimension, on
-constants fixed when the surrogate is built: on a Python float for one
-point, on a column for a batch.
+no knot is searched for again.  The surrogate on a lower set nested in a grid
+is read off that grid's rows the same way (``Surrogate.restrict``).  A
+surrogate stores its interpolant once, as coefficients in a product basis
+that is orthonormal per dimension: Legendre polynomials for a uniform
+parameter, probabilists' Hermite polynomials for a Gaussian one.  They are
+computed in Newton form on Lambda: divided differences along the fibers of
+each axis, then one Newton -> orthonormal change of basis per axis.
+Evaluation, Jacobians, Hessians and that change of basis use one three-term
+recurrence per dimension, on constants fixed when the surrogate is built: on
+a Python float for one point, on a column for a batch.
 
 The surrogate of a P-valued model stores one value vector per global grid
 point, so any number of outputs share a single set of model runs.
@@ -382,31 +383,48 @@ class Surrogate:
             out[start:start + EVAL_BLOCK_ROWS] = np.atleast_2d(rows) @ self.modal_coefficients
         return out[0] if single else out
 
-    def derivatives(self, v: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-        """Exact value (P,), Jacobian (P, N) and, for order 2, Hessian (P, N, N) at one point.
+    def restrict(self, mset: MultiIndexSet, outputs) -> "Surrogate":
+        """The surrogate of the columns ``outputs`` on the grid of ``mset``, nested in this one.
 
-        ``order=1`` stops after the Jacobian and returns (value, Jacobian).
+        The knots are nested, so the points of a lower set's grid are rows of this
+        grid: their points and values are read off here, in the order a direct
+        build gives them, with no knot search and no model call.
         """
-        if order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {order}")
+        rows = {deg: i for i, deg in enumerate(map(tuple, self.grid.degrees.tolist()))}
+        degrees = _grid_degrees(mset)
+        ids = [rows.get(deg) for deg in map(tuple, degrees.tolist())]
+        if None in ids:
+            top = self.grid.index_set
+            raise ValueError(f"the {mset.kind!r} set of level w={mset.w} is not nested in "
+                             f"the {top.kind!r} grid of level w={top.w}")
+        grid = SparseGrid(space=self.grid.space, index_set=mset,
+                          points=self.grid.points[ids], degrees=degrees)
+        return Surrogate(grid=grid, values=self.values[np.ix_(ids, outputs)],
+                         output_names=tuple(self.output_names[k] for k in outputs))
+
+    def _derivative_terms(self, v: np.ndarray, derivatives: int):
+        """term(orders): the outputs differentiated orders[n] times in each dim n, at one point."""
         v = np.asarray(v, dtype=float)
         ndim = self.grid.space.n_dims
         if v.shape != (ndim,):
             raise ValueError(f"points have dimension {v.shape[-1]}, expected {ndim}" if v.ndim == 1
                              else f"derivatives take one point of shape ({ndim},), got {v.shape}")
-        factors = np.array(self._rows(v.tolist(), derivatives=order))
+        factors = np.array(self._rows(v.tolist(), derivatives=derivatives))
+        return lambda orders: (np.prod(factors[np.arange(ndim), orders], axis=0)
+                               @ self.modal_coefficients)
 
-        def term(orders):
-            # orders[n] = derivative order in dim n
-            return np.prod(factors[np.arange(ndim), orders], axis=0) @ self.modal_coefficients
+    def jacobian(self, v: np.ndarray) -> np.ndarray:
+        """Exact Jacobian (P, N) at one point; the same bits as ``derivatives(v)[1]``."""
+        term = self._derivative_terms(v, 1)
+        return np.array([term(e) for e in np.eye(self.grid.space.n_dims, dtype=int)]).T
 
-        eye = np.eye(ndim, dtype=int)
-        value = term(np.zeros(ndim, dtype=int))
-        jac = np.array([term(eye[n]) for n in range(ndim)]).T
-        if order == 1:
-            return value, jac
-        hess = np.array([[term(eye[n] + eye[m]) for m in range(ndim)]
-                         for n in range(ndim)]).transpose(2, 0, 1)
+    def derivatives(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact value (P,), Jacobian (P, N) and Hessian (P, N, N) at one point."""
+        term = self._derivative_terms(v, 2)
+        eye = np.eye(self.grid.space.n_dims, dtype=int)
+        value = term(np.zeros_like(eye[0]))
+        jac = np.array([term(e) for e in eye]).T
+        hess = np.array([[term(e + f) for f in eye] for e in eye]).transpose(2, 0, 1)
         return value, jac, hess
 
 

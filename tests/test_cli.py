@@ -161,6 +161,20 @@ def test_gsa_beam_drops_only_inert_dimension(tmp_path):
     assert read_manifest(out)["stages"]["gsa"]["model_evaluations"] == 9
 
 
+@pytest.mark.parametrize("command", ["gsa", "pipeline"])
+def test_gsa_that_keeps_no_dimension_exits_4_without_a_screening_result(tmp_path, capsys,
+                                                                         command):
+    # at w=0 the surrogate is constant, so every total index is 0
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, beam_config(gsa={"w": 0})),
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "no dimension reaches gsa.threshold 0.05 at gsa.w=0" in err
+    assert "the largest total index is 0" in err
+    assert not (out / "gsa" / "sobol.json").exists()
+    assert not (out / "invert").exists()
+
+
 def test_gsa_output_exclusion_changes_ranking(tmp_path):
     # only the far displacements see enough powder influence at a high
     # threshold; excluding them from the ranking drops the powder dimension
@@ -228,19 +242,22 @@ def test_gsa_with_gaussian_dimension_runs(tmp_path):
     ("invert", "inversion", "measurement_outputs"),
     ("forward", "forward", "qoi_outputs"),
 ])
-@pytest.mark.parametrize("bad", [500, -1, 1.5, True])
+@pytest.mark.parametrize("bad", [500, -1, 1.5, True,
+                                 pytest.param(["u_2", "u_1", 1], id="repeated")])
 def test_bad_output_id_exits_2_before_any_solver_run(tmp_path, capsys, command, stage,
                                                      key, bad):
     # the solver always fails, so a solver run first would exit 3
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
-    cfg[stage][key] = [bad]
+    cfg[stage][key] = bad if isinstance(bad, list) else [bad]
     cfg["model"] = {"command": [sys.executable, "-c", "import sys; sys.exit(1)"],
                     "workdir": str(tmp_path / "w"),
                     "inputs": ["T_A", "log_h_g", "log_h_p"],
                     "outputs": ["u_1", "u_2"]}
     argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
     assert main(argv + (["--prior-only"] if command == "forward" else [])) == 2
-    assert f"{stage}.{key}: output id {bad!r}" in capsys.readouterr().err
+    message = ("output 'u_2' is listed more than once" if isinstance(bad, list)
+               else f"output id {bad!r}")
+    assert f"{stage}.{key}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 
@@ -332,13 +349,14 @@ def test_invert_consumes_data_file(tmp_path):
     {"values": [0.9], "location_ids": [-1], "noise_std": 0.01},
     {"values": [0.9], "location_ids": [1.5], "noise_std": 0.01},
     {"values": [0.9], "location_ids": [True], "noise_std": 0.01},
+    {"values": [0.9, 0.8], "location_ids": [1, "u_2"], "noise_std": 0.01},
     {"values": [0.9], "noise_std": 0.01},
     {"values": [0.9, 0.8], "location_ids": [0], "noise_std": 0.01},
     {"values": [0.9], "location_ids": [0], "noise_std": 0.0},
     {"values": [0.9], "location_ids": [0]},
     "{not json",
     None,
-], ids=["id_500", "id_-1", "id_1.5", "id_true", "no_ids", "length_mismatch",
+], ids=["id_500", "id_-1", "id_1.5", "id_true", "id_repeated", "no_ids", "length_mismatch",
         "zero_noise", "no_noise", "malformed_json", "missing_file"])
 def test_bad_data_file_exits_2_before_any_solver_run(tmp_path, capsys, content):
     # the solver always fails, so a solver run first would exit 3
@@ -557,12 +575,13 @@ GRID_TARGET = [1197.6239569296604, -2.5]
 
 
 @pytest.mark.parametrize("target, counts, total", [
-    (None, {"gsa": (9, 18), "invert": (66, 53), "forward": (75, 44)}, 150),
+    (None, {"gsa": (9, 18), "invert": (66, 9), "forward": (75, 0)}, 150),
     # the target's run is charged to data_evaluations and the grid reuses it
-    (GRID_TARGET, {"gsa": (9, 18), "invert": (65, 54), "forward": (75, 44)}, 149),
+    (GRID_TARGET, {"gsa": (9, 18), "invert": (65, 10), "forward": (75, 0)}, 149),
 ])
 def test_one_batch_per_stage_keeps_the_evaluation_counts(tmp_path, target, counts, total):
-    # (model_evaluations, reused_evaluations) per stage, as counted before the batches merged
+    # (model_evaluations, reused_evaluations) per stage, as counted before the batches merged;
+    # validation reads every level off the stage surrogate, so only earlier stages' rows are reused
     space = ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0)),
                                        ("log_h_p", Uniform(-5.0, 0.0))])
     assert GRID_TARGET in build_sparse_grid(space, generate_index_set("sum", 2, 3)).points.tolist()
@@ -743,8 +762,9 @@ def test_stale_screening_keep_list_exits_2(tmp_path, capsys):
     {"dim_names": ["T_A", "log_h_g", "log_h_p"], "keep": [0, -1]},
     {"dim_names": ["T_A", "log_h_g", "log_h_p"], "keep": [True, 2]},
     {"dim_names": ["T_A", "log_h_g", "log_h_p"], "keep": [0.0]},
+    {"dim_names": ["T_A", "log_h_g", "log_h_p"], "keep": [0, 2, 0]},
 ], ids=["malformed", "no_dim_names", "keep_out_of_range", "keep_negative", "keep_bool",
-        "keep_float"])
+        "keep_float", "keep_repeated"])
 def test_bad_screening_result_exits_2_before_any_solver_run(tmp_path, capsys, sobol):
     out = tmp_path / "o"
     path = out / "gsa" / "sobol.json"

@@ -424,15 +424,16 @@ def test_derivatives_reject_a_point_of_the_wrong_dimension():
         message = f"points have dimension {len(v)}, expected 2"
         with pytest.raises(ValueError, match=message):
             sur.evaluate(np.array(v))
-        for order in (1, 2):
+        for method in (sur.jacobian, sur.derivatives):
             with pytest.raises(ValueError, match=message):
-                sur.derivatives(np.array(v), order=order)
-    with pytest.raises(ValueError, match="one point"):
-        sur.derivatives(np.array([[1300.0, -2.0]]))
+                method(np.array(v))
+    for method in (sur.jacobian, sur.derivatives):
+        with pytest.raises(ValueError, match="one point"):
+            method(np.array([[1300.0, -2.0]]))
 
 
 def test_first_order_derivatives_match_second_order_ones():
-    # order=1 stops before the Hessians; value and Jacobian must not change
+    # jacobian stops before the Hessians and the value; its bits must not change
     space = ParameterSpace.from_pairs([("a", Uniform(1.0, 3.0)), ("b", Gaussian(0.0, 2.0)),
                                        ("c", Uniform(10.0, 20.0)), ("d", Uniform(0.0, 0.5))])
     grid = build_sparse_grid(space, generate_index_set("sum", 4, 3))
@@ -443,12 +444,7 @@ def test_first_order_derivatives_match_second_order_ones():
     points = np.column_stack([rng.uniform(1.0, 3.0, 5), rng.normal(0.0, 2.0, 5),
                               rng.uniform(10.0, 20.0, 5), rng.uniform(0.0, 0.5, 5)])
     for v in points:
-        value1, jac1 = sur.derivatives(v, order=1)
-        value2, jac2, _ = sur.derivatives(v)
-        assert np.max(np.abs(value1 - value2)) <= 1e-15 * np.abs(value2).max()
-        assert np.max(np.abs(jac1 - jac2)) <= 1e-15 * np.abs(jac2).max()
-    with pytest.raises(ValueError, match="order"):
-        sur.derivatives(v, order=0)
+        assert np.array_equal(sur.jacobian(v), sur.derivatives(v)[1])
 
 
 def basis_tables_loop(dists, X, degree, derivatives=0):
@@ -518,6 +514,70 @@ def beam_first_displacement(p):
 ])
 def test_detail_decomposition_equals_combination(fn, space, mset):
     assert detail_decomposition_check(space, mset, fn, n_points=50, rtol=1e-10, seed=11)
+
+
+# ---------------------------------------------------------------------------
+# sub-surrogates on nested grids
+# ---------------------------------------------------------------------------
+
+
+def restrict_model(p):
+    return np.column_stack([np.sin(p.sum(axis=1)), np.exp(0.3 * p[:, 0]) * p[:, -1],
+                            p[:, 0] ** 2, np.full(len(p), 2.5)])
+
+
+def assert_same_surrogate(got, want):
+    assert got.grid.index_set == want.grid.index_set
+    assert got.output_names == want.output_names
+    for field in ("points", "degrees"):
+        assert np.array_equal(getattr(got.grid, field), getattr(want.grid, field))
+    for field in ("values", "modal_coefficients"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("space,kind,w", [
+    (uniform_space([(1130, 1450), (-5, 0)]), "sum", 4),
+    (uniform_space([(1130, 1450), (-5, 0)]), "max", 2),
+    (uniform_space([(0, 1)] * 4), "sum", 3),
+    (ParameterSpace.from_pairs([("t", Gaussian(10.0, 2.0)), ("x", Uniform(0, 1))]), "sum", 4),
+    (ParameterSpace.from_pairs([("t", Gaussian(10.0, 2.0)), ("x", Uniform(0, 1))]), "max", 3),
+])
+@pytest.mark.parametrize("outputs", [[0, 1, 2, 3], [2, 0]], ids=["all", "subset"])
+def test_restrict_equals_a_direct_build_at_every_lower_level(space, kind, w, outputs):
+    top = Surrogate.from_model(build_sparse_grid(space, generate_index_set(kind, space.n_dims, w)),
+                               restrict_model, output_names=("a", "b", "c", "d"))
+    for level in range(w + 1):
+        mset = generate_index_set(kind, space.n_dims, level)
+        direct = Surrogate.from_model(build_sparse_grid(space, mset),
+                                      lambda p: restrict_model(p)[:, outputs],
+                                      output_names=[top.output_names[k] for k in outputs])
+        assert_same_surrogate(top.restrict(mset, outputs), direct)
+
+
+def test_restrict_to_an_explicit_lower_set_equals_a_direct_build():
+    space = ParameterSpace.from_pairs([("t", Gaussian(0.0, 1.0)), ("x", Uniform(-1, 1)),
+                                       ("y", Uniform(2, 3))])
+    top = Surrogate.from_model(build_sparse_grid(space, generate_index_set("sum", 3, 3)),
+                               restrict_model)
+    mset = explicit_index_set([(1, 1, 1), (2, 1, 1), (3, 1, 1), (1, 2, 1), (2, 2, 1), (1, 1, 2)])
+    direct = Surrogate.from_model(build_sparse_grid(space, mset),
+                                  lambda p: restrict_model(p)[:, [1]], output_names=["f1"])
+    assert_same_surrogate(top.restrict(mset, [1]), direct)
+
+
+@pytest.mark.parametrize("mset", [
+    generate_index_set("sum", 2, 3),
+    generate_index_set("max", 2, 2),
+    explicit_index_set([(1, 1), (2, 1), (3, 1), (4, 1)]),
+    generate_index_set("sum", 3, 1),
+    generate_index_set("sum", 1, 1),
+], ids=["higher_level", "max_over_sum", "longer_fiber", "more_dims", "fewer_dims"])
+def test_restrict_to_a_set_that_is_not_nested_is_rejected(mset):
+    space = uniform_space([(1130, 1450), (-5, 0)])
+    top = Surrogate.from_model(build_sparse_grid(space, generate_index_set("sum", 2, 2)),
+                               restrict_model)
+    with pytest.raises(ValueError, match="not nested"):
+        top.restrict(mset, [0])
 
 
 # ---------------------------------------------------------------------------

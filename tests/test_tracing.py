@@ -52,7 +52,9 @@ def test_traced_model_rows_equal_the_manifest_counts(tmp_path):
         "print(json.dumps({'code': code, 'rows': tracing.solver_rows(recorder.spans),\n"
         "                  'counted': manifest['total_model_evaluations']\n"
         "                  + manifest['data_evaluations'],\n"
-        "                  'spans': sorted({s[2] for s in recorder.spans})}))\n")
+        "                  'spans': sorted({s[2] for s in recorder.spans}),\n"
+        "                  'grid_builds': [s[2] for s in recorder.spans]\n"
+        "                  .count('surrogate.build_sparse_grid')}))\n")
     path = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
@@ -63,3 +65,5 @@ def test_traced_model_rows_equal_the_manifest_counts(tmp_path):
     assert result["rows"] == result["counted"] == 151
     # the benchmark times each stage through these spans
     assert {"cli.run_gsa", "cli.run_invert", "cli.run_forward"} <= set(result["spans"])
+    # one grid per stage: validation reads its levels off the stage surrogate
+    assert result["grid_builds"] == 3
