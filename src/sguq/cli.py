@@ -1,8 +1,10 @@
 """Workflow driver: screening, inversion and forward propagation subcommands.
 
 Usage:
-    sguq gsa|invert|forward|pipeline --config <file> [--out <dir>]
-         [--validate] [--compare-prior] [--prior-only] [--densities]
+    sguq gsa|invert --config <file> [--out <dir>] [--validate]
+    sguq pipeline --config <file> [--out <dir>] [--validate] [--compare-prior] [--densities]
+    sguq forward --config <file> [--out <dir>] [--validate] [--compare-prior] [--densities]
+                 [--prior-only]
 
 One JSON config describes the parameter space, the model handle and the
 per-stage options; every random stream has an explicit seed so a rerun with
@@ -113,7 +115,7 @@ def _check_section(config: dict, stage: str) -> dict:
 #: the options with defaults, outputs as ids and (invert, pipeline) the data file's Measurements;
 #: the value of every dimension outside a stage (its inversion.fixed_values entry, else its
 #: distribution's center: a uniform's midpoint, a Gaussian's mean), and the command's run store
-#: (model-input row bytes -> outputs) that every StageModel shares
+#: (model-input row bytes -> outputs) that ``_run_rows`` answers from and fills
 Config = namedtuple("Config", "raw space handle stages fixed runs")
 
 
@@ -141,9 +143,10 @@ def _load_config(path: str, command: str) -> Config:
                                              "displacement", "inversion.measurement_outputs")
     fwd["qoi_outputs"] = _output_ids(handle, fwd["qoi_outputs"], "strain", "forward.qoi_outputs")
     dims, target, noise, fixed = (inv[k] for k in ("dims", "target", "noise_std", "fixed_values"))
-    _require(dims is None or isinstance(dims, list) and dims
-             and all(d in dists for d in dims), "inversion.dims",
-             f"a non-empty list of names in {list(space.names)}", dims)
+    _require(dims is None or isinstance(dims, list) and all(isinstance(d, str) for d in dims),
+             "inversion.dims", "a list of dimension names", dims)
+    if dims is not None:  # each a name in the space, once
+        _ids(space.names, dims, "inversion.dims", "dimension")
     _require(target is None or isinstance(target, list) and all(map(_is_number, target)),
              "inversion.target", "a list of numbers", target)
     _require(0 < gsa["threshold"] < 1, "gsa.threshold", "in (0, 1)", gsa["threshold"])
@@ -200,62 +203,48 @@ def _make_model(config: dict):
     raise ConfigError("model must specify 'builtin' or 'command'")
 
 
-class StageModel:
-    """Stage view of the model: name-based input projection plus eval accounting.
+def _run_rows(config: Config, space: ParameterSpace, rows: np.ndarray):
+    """Model outputs at the stage points ``rows`` on ``space``, and which rows ran now.
 
-    A model input that is a dimension of the stage ``space`` is read from the
-    stage point; every other input is held at its ``config.fixed`` value.
-    Every view of one command shares the command's run store, keyed on the
-    projected model-input row.  A row is sent to the model once per command:
-    points that differ only in dimensions the model does not read, and points
-    an earlier stage already ran, cost no solver run.  Separate commands do
-    not share runs.  A stage plans its rows: one call with ``plan=True``,
-    before its first solver run, sends every new row it will read as one batch.
-
-    ``batches`` counts this view's calls to the model handle, ``evaluations``
-    the rows it sent to the model and ``reused`` the rows it answered from
-    the store.  A row is charged to the call that first reads it, so a
-    planned call moves neither count.
+    A model input that is a dimension of ``space`` is read from the stage point;
+    every other input is held at its ``config.fixed`` value.  The command's run
+    store, keyed on the projected model-input row, answers the rows it holds;
+    the rest are sent to the model as one batch, each input once.  So points
+    that differ only in dimensions the model does not read, and points an
+    earlier stage of the command ran, cost no solver run.  ``ran`` is True on
+    the first row of each input sent now.
     """
+    handle = config.handle
+    inputs = np.column_stack([rows[:, space.names.index(name)] if name in space.names
+                              else np.full(len(rows), config.fixed[name])
+                              for name in handle.input_names])
+    keys = [row.tobytes() for row in inputs]
+    first = {}  # key of each input to send -> its first row
+    for i, key in enumerate(keys):
+        if key not in config.runs:
+            first.setdefault(key, i)
+    sent = list(first.values())
+    if sent:
+        try:
+            fresh = handle.evaluate(inputs[sent])
+        except ValueError as exc:
+            raise ExternalModelError(
+                f"model {handle.name!r} failed on a batch of {len(sent)}: {exc}") from exc
+        config.runs.update(zip(first, fresh))
+    ran = np.zeros(len(rows), dtype=bool)
+    ran[sent] = True
+    return np.array([config.runs[key] for key in keys]), ran
 
-    def __init__(self, config: Config, space: ParameterSpace):
-        self.handle = config.handle
-        self.space = space
-        self._fixed = config.fixed
-        self._runs = config.runs
-        self._unread = set()  # keys this view sent to the model but has not read yet
-        self.batches = 0
-        self.evaluations = 0
-        self.reused = 0
 
-    def _project(self, batch: np.ndarray) -> np.ndarray:
-        cols = []
-        for name in self.handle.input_names:
-            if name in self.space.names:
-                cols.append(batch[:, self.space.names.index(name)])
-            else:
-                cols.append(np.full(len(batch), self._fixed[name]))
-        return np.column_stack(cols)
+def _counts(ran, n_data: int = 0) -> dict:
+    """Manifest counts of stage rows, ``ran`` True on each row sent to the model now.
 
-    def __call__(self, batch: np.ndarray, plan: bool = False) -> np.ndarray:
-        inputs = self._project(np.atleast_2d(np.asarray(batch, dtype=float)))
-        keys = [row.tobytes() for row in inputs]
-        todo = {key: row for key, row in zip(keys, inputs) if key not in self._runs}
-        if todo:
-            try:
-                fresh = self.handle.evaluate(np.array(list(todo.values())))
-            except ValueError as exc:
-                raise ExternalModelError(
-                    f"model {self.handle.name!r} failed on a batch of {len(todo)}: {exc}") from exc
-            self._runs.update(zip(todo, fresh))
-            self._unread.update(todo)
-            self.batches += 1
-        if not plan:
-            first = self._unread.intersection(keys)
-            self._unread -= first
-            self.evaluations += len(first)
-            self.reused += len(keys) - len(first)
-        return np.array([self._runs[k] for k in keys])
+    The run store answered the other rows; the rows sent went in one batch.  The
+    first ``n_data`` rows made the synthetic data, whose runs are charged apart.
+    """
+    return {"model_evaluations": int(ran[n_data:].sum()),
+            "reused_evaluations": int(ran.size - ran.sum()),
+            "model_batches": int(ran.any())}
 
 
 def _output_ids(handle, names_or_ids, group: str, key: str):
@@ -319,13 +308,6 @@ def _stage_grid(space, kind, w):
     return build_sparse_grid(space, generate_index_set(kind, space.n_dims, w))
 
 
-def _build_stage_surrogate(grid, model: StageModel, ids):
-    """Surrogate of the outputs ``ids`` on ``grid``."""
-    names = model.handle.output_names
-    return Surrogate.from_model(grid, lambda points: model(points)[:, ids],
-                                output_names=[names[i] for i in ids])
-
-
 def _validation_table(surrogate: Surrogate, outputs, samples, reference) -> dict:
     """Validation errors of the columns ``outputs`` at every level budget w = 0..top.
 
@@ -368,17 +350,18 @@ def _write_json(path: Path, data):
 
 def run_gsa(config: Config, out: Path) -> dict:
     opts, space, handle = config.stages["gsa"], config.space, config.handle
-    model = StageModel(config, space)
     if {"n_samples", "seed"} & set(config.raw.get("gsa", {})):
         _log("gsa: n_samples and seed are unused; the Sobol indices are exact")
     stage_dir = out / "gsa"
     stage_dir.mkdir(parents=True, exist_ok=True)
 
     _log(f"gsa: building {opts['kind']} grid, w={opts['w']}, {space.n_dims} dims")
-    surrogate = _build_stage_surrogate(_stage_grid(space, opts["kind"], opts["w"]), model,
-                                       range(handle.n_outputs))
-    _log(f"gsa: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations, "
-         f"{model.reused} reused")
+    grid = _stage_grid(space, opts["kind"], opts["w"])
+    values, ran = _run_rows(config, space, grid.points)
+    surrogate = Surrogate(grid, values, handle.output_names)
+    counts = _counts(ran)
+    _log(f"gsa: {grid.n_points} grid points, {counts['model_evaluations']} model evaluations, "
+         f"{counts['reused_evaluations']} reused")
 
     result = sobol_indices(surrogate)
     ranking = rank_parameters(result, opts["threshold"], outputs=opts["outputs"])
@@ -392,11 +375,7 @@ def run_gsa(config: Config, out: Path) -> dict:
     keep_names = [space.names[i] for i in ranking["keep"]]
     drop_names = [space.names[i] for i in ranking["drop"]]
     _log(f"gsa: keep {keep_names}, drop {drop_names}")
-    return {"model_evaluations": model.evaluations,
-            "reused_evaluations": model.reused,
-            "model_batches": model.batches,
-            "grid_points": surrogate.grid.n_points,
-            "files": {"sobol": "gsa/sobol.json"}}
+    return {**counts, "grid_points": grid.n_points, "files": {"sobol": "gsa/sobol.json"}}
 
 
 def _reduced_space(config: Config, out: Path) -> ParameterSpace:
@@ -423,7 +402,6 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     opts, handle = config.stages["inversion"], config.handle
     space = _reduced_space(config, out)
     _require(space.is_all_uniform(), "the inverted dimensions", "uniform", list(space.names))
-    model = StageModel(config, space)
     meas, target = opts["data_file"], opts["target"]
     rows = []
     if meas is None:
@@ -434,29 +412,30 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
         if np.any(target < box[0]) or np.any(target > box[1]):
             raise ConfigError("synthetic-data target lies outside the prior box")
         rows.append(target[None, :])
+    n_data = len(rows)  # the synthetic data's row
     fixed = {name: v for name, v in config.fixed.items() if name not in space.names}
     _log(f"invert: building {opts['kind']} grid, w={opts['w']}, dims {list(space.names)}"
          + (f", fixed {fixed}" if fixed else ""))
     grid = _stage_grid(space, opts["kind"], opts["w"])
     rows.append(grid.points)
+    top = n_data + grid.n_points
     if validate:
         samples = sample_posterior(PosteriorSpec.from_prior(space), opts["validation_samples"],
                                    opts["validation_seed"])
         rows.append(samples)
     # one solver batch: the data target, the grid, the validation samples
-    model(np.vstack(rows), plan=True)
+    values, ran = _run_rows(config, space, np.vstack(rows))
     if meas is None:
-        meas = synthesize_data(model, target, opts["measurement_outputs"], opts["noise_std"],
-                               opts["seed"])
-    # the data-generating run is bookkept separately from the grid budget
-    data_evaluations, model.evaluations = model.evaluations, 0
+        meas = synthesize_data(lambda _: values[:1], target, opts["measurement_outputs"],
+                               opts["noise_std"], opts["seed"])
     stage_dir = out / "invert"
     stage_dir.mkdir(parents=True, exist_ok=True)
 
-    surrogate = _build_stage_surrogate(grid, model, range(handle.n_outputs))
+    surrogate = Surrogate(grid, values[n_data:top], handle.output_names)
     _write_json(stage_dir / "surrogate.json", surrogate_to_json_dict(surrogate))
-    _log(f"invert: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations, "
-         f"{model.reused} reused")
+    counts = _counts(ran[:top], n_data)
+    _log(f"invert: {grid.n_points} grid points, {counts['model_evaluations']} model evaluations, "
+         f"{counts['reused_evaluations']} reused")
     _write_json(stage_dir / "measurements.json", meas.to_json_dict())
 
     files = {"surrogate": "invert/surrogate.json",
@@ -464,7 +443,7 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     if validate:
         ids = list(meas.location_ids)
         _write_json(stage_dir / "validation.json",
-                    _validation_table(surrogate, ids, samples, model(samples)[:, ids]))
+                    _validation_table(surrogate, ids, samples, values[top:][:, ids]))
         files["validation"] = "invert/validation.json"
         _log(f"invert: validation at w=0..{opts['w']} done")
 
@@ -487,12 +466,9 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     files["posterior"] = "invert/posterior.json"
     _log(f"invert: v_map={np.round(map_result.v_map, 4).tolist()}, "
          f"sigma2_map={s2:.4g}, classes={list(posterior.classification)}")
-    return {"model_evaluations": model.evaluations,
-            "reused_evaluations": model.reused,
-            "model_batches": model.batches,
-            "data_evaluations": data_evaluations,
-            "grid_points": surrogate.grid.n_points,
-            "files": files}
+    # the data-generating run is charged apart from the grid budget
+    return {**_counts(ran, n_data), "data_evaluations": int(ran[:n_data].sum()),
+            "grid_points": grid.n_points, "files": files}
 
 
 def _read_posterior(path: str, space: ParameterSpace) -> PosteriorSpec:
@@ -556,7 +532,6 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     # a box that holds no probability of its marginal fails before the first solver run
     sample_posterior(posterior, 1, opts["seed"])
 
-    model = StageModel(config, posterior.space)
     _log(f"forward: building {opts['kind']} grid, w={opts['w']} on the "
          f"{'prior' if prior_only else 'posterior'}-matched space")
     grid = _stage_grid(posterior.space, opts["kind"], opts["w"])
@@ -570,24 +545,27 @@ def run_forward(config: Config, out: Path, validate: bool = False,
         prior_grid = _stage_grid(prior_space, opts["kind"], opts["w"])
         rows.append(prior_grid.points)
     # one solver batch: the grid, the validation samples, a fresh prior surrogate's grid
-    model(np.vstack(rows), plan=True)
-    surrogate = _build_stage_surrogate(grid, model, qoi_ids)
-    _log(f"forward: {surrogate.grid.n_points} grid points, {model.evaluations} model evaluations, "
-         f"{model.reused} reused")
+    values, ran = _run_rows(config, posterior.space, np.vstack(rows))
+    values = values[:, qoi_ids]
+    top = grid.n_points + (len(val_samples) if validate else 0)
+    surrogate = Surrogate(grid, values[:grid.n_points], tuple(qoi_names))
+    counts = _counts(ran[:grid.n_points])
+    _log(f"forward: {grid.n_points} grid points, {counts['model_evaluations']} model evaluations, "
+         f"{counts['reused_evaluations']} reused")
 
     files = {}
     if validate:
         _write_json(stage_dir / "validation.json",
                     _validation_table(surrogate, range(surrogate.n_outputs), val_samples,
-                                      model(val_samples)[:, qoi_ids]))
+                                      values[grid.n_points:top]))
         files["validation"] = "forward/validation.json"
 
     if compare_prior:
         if fresh_prior:
-            ran, reused = model.evaluations, model.reused
-            prior_surrogate = _build_stage_surrogate(prior_grid, model, qoi_ids)
-            _log(f"forward: built a fresh prior surrogate (+{model.evaluations - ran} evaluations, "
-                 f"{model.reused - reused} reused)")
+            prior_surrogate = Surrogate(prior_grid, values[top:], tuple(qoi_names))
+            counts = _counts(ran[top:])
+            _log(f"forward: built a fresh prior surrogate (+{counts['model_evaluations']} "
+                 f"evaluations, {counts['reused_evaluations']} reused)")
         else:
             _log("forward: prior propagation reuses the inversion-stage surrogate")
         comparison = uncertainty_bands(prior_spec, prior_surrogate, posterior,
@@ -608,11 +586,7 @@ def run_forward(config: Config, out: Path, validate: bool = False,
         write_densities_json(stage_dir / "densities.json", comparison, qoi_names)
         files["densities"] = "forward/densities.json"
     _log(f"forward: bands written for {comparison.n_locations} locations, n={opts['n_samples']}")
-    return {"model_evaluations": model.evaluations,
-            "reused_evaluations": model.reused,
-            "model_batches": model.batches,
-            "grid_points": surrogate.grid.n_points,
-            "n_samples": int(opts["n_samples"]),
+    return {**_counts(ran), "grid_points": grid.n_points, "n_samples": int(opts["n_samples"]),
             "files": files}
 
 

@@ -83,8 +83,10 @@ class Measurements:
         self.location_ids = tuple(map(operator.index, self.location_ids))
         if len(self.values) != len(self.location_ids):
             raise ValueError("values and location_ids lengths differ")
-        if self.noise_std <= 0:
-            raise ValueError(f"noise std must be > 0, got {self.noise_std}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError(f"measured values must be finite, got {self.values.tolist()}")
+        if not (np.isfinite(self.noise_std) and self.noise_std > 0):
+            raise ValueError(f"noise std must be a finite number > 0, got {self.noise_std}")
         if self.target is not None:
             self.target = np.asarray(self.target, dtype=float)
 
@@ -115,8 +117,6 @@ class Measurements:
 
 def synthesize_data(model, target, location_ids, noise_std: float, seed: int) -> Measurements:
     """Noisy synthetic measurements: model at the target plus iid Gaussian noise."""
-    if noise_std <= 0:
-        raise ValueError(f"noise std must be > 0, got {noise_std}")
     target = np.asarray(target, dtype=float)
     outputs = model(target[None, :]) if callable(model) else model.evaluate(target[None, :])
     clean = np.asarray(outputs, dtype=float)[0, list(location_ids)]

@@ -5,8 +5,8 @@ speaks a synchronous file-exchange protocol: it writes one ``params.csv``
 request per batch, invokes ``<command> <workdir>/params.csv <workdir>/qoi.csv``
 and parses the response.  Exactly one subprocess runs per handle at a time;
 create handles with distinct workdirs for parallel solver instances.  A
-workflow stage plans its rows before its first solver run and sends the new
-ones as one batch, so it launches the command at most once.
+workflow stage reads every row it needs from one call, which sends the rows
+not yet run as one batch, so the stage launches the command at most once.
 """
 
 from __future__ import annotations

@@ -26,16 +26,17 @@ from .surrogate import Surrogate
 
 __all__ = ["SobolResult", "sobol_indices", "rank_parameters", "sobol_result_to_json_dict"]
 
-#: outputs whose variance falls below this are flagged degenerate
-DEGENERATE_VARIANCE = 1e-28
+#: outputs whose variance is at most this fraction of their mean square (the sum of all their
+#: squared coefficients) are flagged degenerate
+DEGENERATE_RATIO = 1e-24
 
 
 @dataclass
 class SobolResult:
     """Per-output Sobol indices of a surrogate.
 
-    ``principal`` and ``total`` are (P, N) arrays.  ``degenerate`` flags
-    outputs with (numerically) zero variance, whose indices are reported 0.
+    ``principal`` and ``total`` are (P, N) arrays.  ``degenerate`` flags outputs whose
+    variance is (numerically) zero against their mean square; their indices are reported 0.
     """
 
     principal: np.ndarray
@@ -52,7 +53,7 @@ def sobol_indices(surrogate: Surrogate) -> SobolResult:
     power = surrogate.modal_coefficients ** 2                     # (M, P)
     alone = active & (active.sum(axis=1, keepdims=True) == 1)
     variance = active.any(axis=1) @ power
-    degenerate = variance < DEGENERATE_VARIANCE
+    degenerate = variance <= DEGENERATE_RATIO * power.sum(axis=0)
     safe_var = np.where(degenerate, 1.0, variance)
     principal = (alone.T @ power / safe_var).T
     total = (active.T @ power / safe_var).T

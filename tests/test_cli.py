@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sguq.cli import Config, StageModel, _load_config, main
+from sguq.cli import Config, _counts, _load_config, _run_rows, main
 from sguq.indices import generate_index_set
 from sguq.knots import symmetric_leja
 from sguq.surrogate import (ParameterSpace, Surrogate, Uniform, build_sparse_grid,
@@ -354,10 +354,14 @@ def test_invert_consumes_data_file(tmp_path):
     {"values": [0.9, 0.8], "location_ids": [0], "noise_std": 0.01},
     {"values": [0.9], "location_ids": [0], "noise_std": 0.0},
     {"values": [0.9], "location_ids": [0]},
+    {"values": [float("nan"), 0.8], "location_ids": [0, 1], "noise_std": 0.01},
+    {"values": [0.9], "location_ids": [0], "noise_std": float("nan")},
+    {"values": [0.9], "location_ids": [0], "noise_std": float("inf")},
     "{not json",
     None,
 ], ids=["id_500", "id_-1", "id_1.5", "id_true", "id_repeated", "no_ids", "length_mismatch",
-        "zero_noise", "no_noise", "malformed_json", "missing_file"])
+        "zero_noise", "no_noise", "nan_value", "nan_noise", "inf_noise", "malformed_json",
+        "missing_file"])
 def test_bad_data_file_exits_2_before_any_solver_run(tmp_path, capsys, content):
     # the solver always fails, so a solver run first would exit 3
     data_file = tmp_path / "data.json"
@@ -467,23 +471,36 @@ class CountingModel:
         return 2.0 * batch
 
 
-def test_stage_models_of_one_run_store_send_each_model_input_once():
+def test_run_rows_sends_each_new_model_input_once_and_marks_its_first_row():
     handle = CountingModel()
     space = ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0)), ("z", Uniform(0.0, 1.0))])
     config = Config(raw={}, space=space, handle=handle, stages={},
                     fixed={"T_A": 1290.0, "z": 0.5}, runs={})
-    wide = StageModel(config, space)
-    # two stage points, one projected model input
-    assert wide(np.array([[1200.0, 0.0], [1200.0, 1.0]])).tolist() == [[2400.0], [2400.0]]
-    assert [b.tolist() for b in handle.batches] == [[[1200.0]]]
-    assert (wide.evaluations, wide.reused) == (1, 1)
+    # three stage points, two projected model inputs: one batch sends each input once
+    values, ran = _run_rows(config, space, np.array([[1200.0, 0.0], [1300.0, 1.0],
+                                                     [1200.0, 1.0]]))
+    assert values.tolist() == [[2400.0], [2600.0], [2400.0]]
+    assert [b.tolist() for b in handle.batches] == [[[1200.0], [1300.0]]]
+    assert ran.tolist() == [True, True, False]
+    assert _counts(ran) == {"model_evaluations": 2, "reused_evaluations": 1, "model_batches": 1}
+    # a first row that made the synthetic data is charged apart
+    assert _counts(ran, n_data=1)["model_evaluations"] == 1
     # a second stage on the same store sends only the input not yet run
-    narrow = StageModel(config, ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0))]))
-    assert narrow(np.array([[1200.0], [1300.0]])).tolist() == [[2400.0], [2600.0]]
-    assert [b.tolist() for b in handle.batches] == [[[1200.0]], [[1300.0]]]
-    assert (narrow.evaluations, narrow.reused) == (1, 1)
-    assert narrow(np.array([[1300.0], [1200.0]])).tolist() == [[2600.0], [2400.0]]
-    assert len(handle.batches) == 2 and (narrow.evaluations, narrow.reused) == (1, 3)
+    narrow = ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0))])
+    values, ran = _run_rows(config, narrow, np.array([[1300.0], [1250.0], [1200.0], [1250.0]]))
+    assert values.tolist() == [[2600.0], [2500.0], [2400.0], [2500.0]]
+    assert [b.tolist() for b in handle.batches] == [[[1200.0], [1300.0]], [[1250.0]]]
+    assert ran.tolist() == [False, True, False, False]
+    assert _counts(ran) == {"model_evaluations": 1, "reused_evaluations": 3, "model_batches": 1}
+    # a model input outside the stage space is held at its fixed value
+    values, ran = _run_rows(config, ParameterSpace.from_pairs([("z", Uniform(0.0, 1.0))]),
+                            np.array([[0.25]]))
+    assert values.tolist() == [[2580.0]] and handle.batches[-1].tolist() == [[1290.0]]
+    # a stage whose rows are all in the store calls the model 0 times
+    values, ran = _run_rows(config, narrow, np.array([[1290.0], [1200.0]]))
+    assert values.tolist() == [[2580.0], [2400.0]]
+    assert len(handle.batches) == 3
+    assert _counts(ran) == {"model_evaluations": 0, "reused_evaluations": 2, "model_batches": 0}
 
 
 def test_pipeline_and_separate_stage_commands_write_the_same_files(tmp_path):
@@ -553,21 +570,6 @@ def test_pipeline_with_validation_adds_100_evaluations(tmp_path):
         < float(r["prior_q95"]) - float(r["prior_q05"])
         for r in rows)
     assert narrower >= 0.95 * len(rows)
-
-
-def test_planned_call_sends_one_batch_and_charges_each_row_to_its_first_read():
-    handle = CountingModel()
-    space = ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0))])
-    config = Config(raw={}, space=space, handle=handle, stages={}, fixed={}, runs={})
-    model = StageModel(config, space)
-    # a repeated row is sent once; planning charges nothing
-    model(np.array([[1200.0], [1300.0], [1200.0]]), plan=True)
-    assert [b.tolist() for b in handle.batches] == [[[1200.0], [1300.0]]]
-    assert (model.batches, model.evaluations, model.reused) == (1, 0, 0)
-    assert model(np.array([[1300.0]])).tolist() == [[2600.0]]
-    assert (model.evaluations, model.reused) == (1, 0)
-    assert model(np.array([[1200.0], [1300.0], [1200.0]])).tolist() == [[2400.0], [2600.0], [2400.0]]
-    assert (model.batches, model.evaluations, model.reused) == (1, 2, 2)
 
 
 #: an inversion grid point (sum w=3 on T_A x log_h_p) whose T_A is no knot of the screening grid
@@ -881,19 +883,23 @@ def test_saved_prior_surrogate_of_another_space_exits_2_before_any_solver_run(tm
     assert not (tmp_path / "w").exists()
 
 
-def test_forward_builds_a_fresh_prior_surrogate_when_none_is_saved(tmp_path):
+def test_forward_builds_a_fresh_prior_surrogate_when_none_is_saved(tmp_path, capsys):
     # the second run's out dir has no invert/surrogate.json to reuse for the prior bands
     first, second = tmp_path / "r1", tmp_path / "r2"
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]},
                       forward={"posterior_file": str(first / "invert" / "posterior.json")})
     path = write_config(tmp_path, cfg)
     assert main(["pipeline", "--config", path, "--out", str(first), "--compare-prior"]) == 0
+    capsys.readouterr()
     assert main(["forward", "--config", path, "--out", str(second), "--compare-prior"]) == 0
+    assert "built a fresh prior surrogate (+25 evaluations, 0 reused)" in capsys.readouterr().err
     assert not (second / "invert").exists()
     bands = [(out / "forward" / "bands.csv").read_bytes() for out in (first, second)]
     assert bands[0] == bands[1]
     assert read_manifest(first)["stages"]["forward"]["model_evaluations"] == 25
-    assert read_manifest(second)["stages"]["forward"]["model_evaluations"] == 50
+    forward = read_manifest(second)["stages"]["forward"]
+    assert (forward["model_evaluations"], forward["reused_evaluations"]) == (50, 0)
+    assert forward["model_batches"] == 1
 
 
 DELETE = object()
@@ -924,6 +930,13 @@ DELETE = object()
     ("inversion", "chi2_threshold", 0, "inversion.chi2_threshold", "invert"),
     ("inversion", "flat_fraction", 2.0, "inversion.flat_fraction", "invert"),
     ("inversion", "flat_fraction", 0.0, "inversion.flat_fraction", "invert"),
+    ("inversion", "dims", ["T_A", "log_h_p", "T_A"],
+     "inversion.dims: dimension 'T_A' is listed more than once", "invert"),
+    ("inversion", "dims", ["T_A", "log_h_pp"], "inversion.dims: unknown dimension 'log_h_pp'",
+     "invert"),
+    ("inversion", "dims", [], "inversion.dims", "invert"),
+    ("inversion", "dims", ["T_A", 2], "inversion.dims", "invert"),
+    ("inversion", "dims", [["T_A"]], "inversion.dims", "invert"),
     # inversion.dims [T_A, log_h_p] names a Gaussian dimension
     ("space", None, [{"name": "T_A", "distribution": "gaussian", "mean": 1300.0, "std": 40.0}]
      + beam_config()["space"][1:], "inversion.dims", "invert"),
@@ -932,6 +945,7 @@ DELETE = object()
         "fixed_value_typo", "fixed_value_string", "fixed_value_outside_range",
         "fixed_value_of_inverted_dim", "n_starts_2", "profile_grid_10", "kind_tri", "forward_n_samples_0", "threshold_2", "negative_noise",
         "chi2_threshold_-1", "chi2_threshold_0", "flat_fraction_2", "flat_fraction_0",
+        "dims_repeated", "dims_unknown", "dims_empty", "dims_id", "dims_nested_list",
         "gaussian_inverted_dim"])
 def test_config_error_exits_2_before_any_solver_run(tmp_path, capsys, stage, key, value,
                                                     named, command):

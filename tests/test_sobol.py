@@ -142,6 +142,20 @@ def test_zero_variance_flagged_degenerate():
     assert np.all(res.principal == 0.0) and np.all(res.total == 0.0)
 
 
+def test_degenerate_flag_and_indices_do_not_depend_on_the_output_scale():
+    # an absolute variance floor flagged Ishigami x 1e-15 (variance ~1e-29) degenerate
+    results = [sobol_indices(make_surrogate(lambda p: scale * ishigami(p),
+                                            [(-np.pi, np.pi)] * 3, 4))
+               for scale in (1e-15, 1.0, 1e15)]
+    for res in results:
+        assert not res.degenerate.any()
+        assert np.allclose(res.principal, results[1].principal, rtol=0, atol=1e-12)
+        assert np.allclose(res.total, results[1].total, rtol=0, atol=1e-12)
+        assert rank_parameters(res, 0.05) == {"keep": [0, 1, 2], "drop": []}
+    zero = sobol_indices(make_surrogate(lambda p: np.zeros((len(p), 1)), [(0, 1)] * 2, 2))
+    assert zero.degenerate[0] and np.all(zero.total == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # parameter ranking
 # ---------------------------------------------------------------------------
