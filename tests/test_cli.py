@@ -471,35 +471,56 @@ class CountingModel:
         return 2.0 * batch
 
 
-def test_run_rows_sends_each_new_model_input_once_and_marks_its_first_row():
-    handle = CountingModel()
+def counting_config(space):
+    return Config(raw={}, space=space, handle=CountingModel(), stages={},
+                  fixed={"T_A": 1290.0, "z": 0.5}, runs={})
+
+
+def test_stage_models_of_one_run_store_send_each_model_input_once():
     space = ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0)), ("z", Uniform(0.0, 1.0))])
-    config = Config(raw={}, space=space, handle=handle, stages={},
-                    fixed={"T_A": 1290.0, "z": 0.5}, runs={})
-    # three stage points, two projected model inputs: one batch sends each input once
-    values, ran = _run_rows(config, space, np.array([[1200.0, 0.0], [1300.0, 1.0],
-                                                     [1200.0, 1.0]]))
+    config = counting_config(space)
+    handle = config.handle
+    # two stage points, one projected model input
+    values, ran = _run_rows(config, space, np.array([[1200.0, 0.0], [1200.0, 1.0]]))
+    assert values.tolist() == [[2400.0], [2400.0]]
+    assert [b.tolist() for b in handle.batches] == [[[1200.0]]]
+    assert ran.tolist() == [True, False]
+    # a second stage on the same store sends only the input not yet run
+    narrow = ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0))])
+    values, ran = _run_rows(config, narrow, np.array([[1200.0], [1300.0]]))
+    assert values.tolist() == [[2400.0], [2600.0]]
+    assert [b.tolist() for b in handle.batches] == [[[1200.0]], [[1300.0]]]
+    assert ran.tolist() == [False, True]
+    # a model input outside the stage space is held at its fixed value
+    values, ran = _run_rows(config, ParameterSpace.from_pairs([("z", Uniform(0.0, 1.0))]),
+                            np.array([[0.25]]))
+    assert values.tolist() == [[2580.0]] and handle.batches[-1].tolist() == [[1290.0]]
+    # a stage whose rows are all in the store calls the model 0 times
+    values, ran = _run_rows(config, narrow, np.array([[1300.0], [1290.0], [1200.0]]))
+    assert values.tolist() == [[2600.0], [2580.0], [2400.0]]
+    assert len(handle.batches) == 3 and ran.tolist() == [False, False, False]
+
+
+def test_planned_call_sends_one_batch_and_charges_each_row_to_its_first_read():
+    space = ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0))])
+    config = counting_config(space)
+    handle = config.handle
+    # a repeated row is sent once, in one batch, and charged to its first read
+    values, ran = _run_rows(config, space, np.array([[1200.0], [1300.0], [1200.0]]))
     assert values.tolist() == [[2400.0], [2600.0], [2400.0]]
     assert [b.tolist() for b in handle.batches] == [[[1200.0], [1300.0]]]
     assert ran.tolist() == [True, True, False]
     assert _counts(ran) == {"model_evaluations": 2, "reused_evaluations": 1, "model_batches": 1}
     # a first row that made the synthetic data is charged apart
     assert _counts(ran, n_data=1)["model_evaluations"] == 1
-    # a second stage on the same store sends only the input not yet run
-    narrow = ParameterSpace.from_pairs([("T_A", Uniform(1130.0, 1450.0))])
-    values, ran = _run_rows(config, narrow, np.array([[1300.0], [1250.0], [1200.0], [1250.0]]))
+    # a later call charges only the rows it sent
+    values, ran = _run_rows(config, space, np.array([[1300.0], [1250.0], [1200.0], [1250.0]]))
     assert values.tolist() == [[2600.0], [2500.0], [2400.0], [2500.0]]
     assert [b.tolist() for b in handle.batches] == [[[1200.0], [1300.0]], [[1250.0]]]
     assert ran.tolist() == [False, True, False, False]
     assert _counts(ran) == {"model_evaluations": 1, "reused_evaluations": 3, "model_batches": 1}
-    # a model input outside the stage space is held at its fixed value
-    values, ran = _run_rows(config, ParameterSpace.from_pairs([("z", Uniform(0.0, 1.0))]),
-                            np.array([[0.25]]))
-    assert values.tolist() == [[2580.0]] and handle.batches[-1].tolist() == [[1290.0]]
-    # a stage whose rows are all in the store calls the model 0 times
-    values, ran = _run_rows(config, narrow, np.array([[1290.0], [1200.0]]))
-    assert values.tolist() == [[2580.0], [2400.0]]
-    assert len(handle.batches) == 3
+    _, ran = _run_rows(config, space, np.array([[1300.0], [1200.0]]))
+    assert len(handle.batches) == 2
     assert _counts(ran) == {"model_evaluations": 0, "reused_evaluations": 2, "model_batches": 0}
 
 
