@@ -468,7 +468,8 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
          f"sigma2_map={s2:.4g}, classes={list(posterior.classification)}")
     # the data-generating run is charged apart from the grid budget
     return {**_counts(ran, n_data), "data_evaluations": int(ran[:n_data].sum()),
-            "grid_points": grid.n_points, "files": files}
+            "grid_points": grid.n_points, "map_starts": map_result.n_starts,
+            "map_not_converged": map_result.n_not_converged, "files": files}
 
 
 def _read_posterior(path: str, space: ParameterSpace) -> PosteriorSpec:

@@ -172,14 +172,15 @@ def _latin_hypercube(n: int, dim: int, seed: int) -> np.ndarray:
 
 def find_map(surrogate: Surrogate, meas: Measurements, n_starts: int = 16,
              seed: int = 0) -> MapResult:
-    """Multi-start bounded trust-region least squares on the misfit.
+    """Multi-start, in lockstep, bounded trust-region least squares on the misfit.
 
-    Starts are a Latin hypercube over the prior box.  Each runs a numpy port
-    of SciPy's trust-region reflective method (Branch, Coleman & Li, SIAM J.
-    Sci. Comput. 1999) in box-normalized coordinates bounded to [0, 1]: the
-    residual is the surrogate minus the data and the Jacobian is the
-    surrogate's exact one scaled by the box width, so every iterate and
-    every minimum stays inside the box.  Each start's status keeps SciPy's
+    Starts are a Latin hypercube over the prior box.  All run a numpy port of
+    SciPy's trust-region reflective method (Branch, Coleman & Li, SIAM J. Sci.
+    Comput. 1999) one step per pass, each ending where it would alone, in
+    box-normalized coordinates bounded to [0, 1]: the residual is the
+    surrogate minus the data and the Jacobian is the surrogate's exact one
+    scaled by the box width, so every iterate and every minimum stays inside
+    the box.  Each start's status keeps SciPy's
     meaning: 0 the budget of 100 d residual evaluations ran out, 1 gtol,
     2 ftol, 3 xtol, 4 ftol and xtol.  Converged points are merged within a
     small box-normalized distance and the lowest misfit is the MAP.
@@ -191,20 +192,22 @@ def find_map(surrogate: Surrogate, meas: Measurements, n_starts: int = 16,
     lo, width = box[0], box[1] - box[0]
     ids = list(meas.location_ids)
 
-    def residual(z):
-        return surrogate.evaluate(lo + z * width, warn_outside=False)[ids] - meas.values
+    def residuals(Z):
+        # one basis table gives the residuals and, at the accepted points, the
+        # Jacobians; take keeps their rows C-contiguous, as the search needs
+        term = surrogate._derivative_terms(lo + Z * width, 1, batch=True)
+        eye = np.eye(space.n_dims, dtype=int)
+        return term(0 * eye[0]).take(ids, axis=1) - meas.values, lambda rows: np.stack(
+            [term(e, rows).take(ids, axis=1) for e in eye], axis=-1) * width
 
-    def jacobian(z):
-        return surrogate.jacobian(lo + z * width)[ids] * width
-
-    raw, starts = [], []
-    for z0 in _latin_hypercube(n_starts, space.n_dims, seed):
-        res = trf_unit_box(residual, jacobian, z0, TRF_TOL)
-        starts.append({"status": res.status, "nfev": res.nfev, "njev": res.njev})
-        # res.x lies in [0, 1], but lo + x * width can round past the box;
-        # res.cost is half the sum of squares
-        raw.append((np.clip(lo + res.x * width, box[0], box[1]), 2.0 * res.cost,
-                    lo + z0 * width))
+    z0 = _latin_hypercube(n_starts, space.n_dims, seed)
+    x, cost, status, nfev, njev = trf_unit_box(residuals, z0, TRF_TOL)
+    starts = [{"status": st, "nfev": nf, "njev": nj}
+              for st, nf, nj in zip(status.tolist(), nfev.tolist(), njev.tolist())]
+    # x lies in [0, 1], but lo + x * width can round past the box; cost is half
+    # the sum of squares
+    raw = [(np.clip(lo + xs * width, box[0], box[1]), 2.0 * c, lo + z * width)
+           for xs, c, z in zip(x, cost.tolist(), z0)]
 
     # a minimum keeps the point of its lowest-LS hit and the first start, in start
     # order, that reached it: its hits differ in LS only by rounding

@@ -21,7 +21,7 @@ computed in Newton form on Lambda: divided differences along the fibers of
 each axis, then one Newton -> orthonormal change of basis per axis.
 Evaluation, Jacobians, Hessians and that change of basis use one three-term
 recurrence per dimension, on constants fixed when the surrogate is built: on
-a Python float for one point, on a column for a batch.
+a Python float for one point's value, on a column otherwise.
 
 The surrogate of a P-valued model stores one value vector per global grid
 point, so any number of outputs share a single set of model runs.
@@ -358,6 +358,8 @@ class Surrogate:
         """Evaluate the interpolant: modal basis rows times the coefficients.
 
         Accepts a single point (N,) or a batch (Q, N); returns (P,) or (Q, P).
+        A batch is one matrix product: a point's row may differ from its
+        single-point value in the last bits, where ``jacobian`` keeps them.
         Points outside a uniform parameter's interval are evaluated by
         polynomial extrapolation and flagged with ExtrapolationWarning.
         """
@@ -402,29 +404,38 @@ class Surrogate:
         return Surrogate(grid=grid, values=self.values[np.ix_(ids, outputs)],
                          output_names=tuple(self.output_names[k] for k in outputs))
 
-    def _derivative_terms(self, v: np.ndarray, derivatives: int):
-        """term(orders): the outputs differentiated orders[n] times in each dim n, at one point."""
+    def _derivative_terms(self, v: np.ndarray, derivatives: int, batch: bool = False):
+        """term(orders, rows): (Q, P) outputs differentiated orders[n] times in each dim n,
+        at one point v (N,) as Q = 1, at a batch v (Q, N) if allowed, or at its points
+        ``rows``.  A point's row is its own vector-matrix product, whatever its batch."""
         v = np.asarray(v, dtype=float)
         ndim = self.grid.space.n_dims
-        if v.shape != (ndim,):
-            raise ValueError(f"points have dimension {v.shape[-1]}, expected {ndim}" if v.ndim == 1
-                             else f"derivatives take one point of shape ({ndim},), got {v.shape}")
-        factors = np.array(self._rows(v.tolist(), derivatives=derivatives))
-        return lambda orders: (np.prod(factors[np.arange(ndim), orders], axis=0)
-                               @ self.modal_coefficients)
+        if v.ndim != 1 and not (batch and v.ndim == 2):
+            raise ValueError(f"takes one point ({ndim},){' or a batch (Q, N)' * batch}, "
+                             f"got shape {v.shape}")
+        if v.shape[-1] != ndim:
+            raise ValueError(f"points have dimension {v.shape[-1]}, expected {ndim}")
+        factors = np.array(self._rows(np.atleast_2d(v).T, derivatives=derivatives))
+
+        def term(orders, rows=slice(None)):
+            basis = np.prod(factors[np.arange(ndim), orders], axis=0)[rows]
+            return (basis[:, None, :] @ self.modal_coefficients)[:, 0]
+        return term
 
     def jacobian(self, v: np.ndarray) -> np.ndarray:
-        """Exact Jacobian (P, N) at one point; the same bits as ``derivatives(v)[1]``."""
-        term = self._derivative_terms(v, 1)
-        return np.array([term(e) for e in np.eye(self.grid.space.n_dims, dtype=int)]).T
+        """Exact Jacobian (P, N) at one point, or (Q, P, N) at a batch (Q, N), each point
+        with the bits of ``derivatives(v)[1]``, whatever its batch."""
+        term = self._derivative_terms(v, 1, batch=True)
+        jac = np.stack([term(e) for e in np.eye(self.grid.space.n_dims, dtype=int)], axis=-1)
+        return jac[0] if np.ndim(v) == 1 else jac
 
     def derivatives(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact value (P,), Jacobian (P, N) and Hessian (P, N, N) at one point."""
         term = self._derivative_terms(v, 2)
         eye = np.eye(self.grid.space.n_dims, dtype=int)
-        value = term(np.zeros_like(eye[0]))
-        jac = np.array([term(e) for e in eye]).T
-        hess = np.array([[term(e + f) for f in eye] for e in eye]).transpose(2, 0, 1)
+        value = term(np.zeros_like(eye[0]))[0]
+        jac = np.array([term(e)[0] for e in eye]).T
+        hess = np.array([[term(e + f)[0] for f in eye] for e in eye]).transpose(2, 0, 1)
         return value, jac, hess
 
 

@@ -278,6 +278,10 @@ def test_invert_default_produces_mixed_posterior(tmp_path):
     man = read_manifest(out)["stages"]["invert"]
     assert man["model_evaluations"] == 25
     assert man["data_evaluations"] == 1
+    report = json.loads((out / "invert" / "inversion.json").read_text())
+    assert (man["map_starts"], man["map_not_converged"]) == (16, 0)
+    assert (man["map_starts"], man["map_not_converged"]) == (report["n_starts"],
+                                                             report["n_not_converged"])
 
 
 def test_invert_validate_table_decreases(tmp_path):
@@ -450,6 +454,9 @@ def test_pipeline_accounting_and_determinism(tmp_path):
     assert man["stages"]["forward"]["model_evaluations"] == 25
     assert man["total_model_evaluations"] == 50
     assert man["data_evaluations"] == 1
+    assert (man["stages"]["invert"]["map_starts"],
+            man["stages"]["invert"]["map_not_converged"]) == (16, 0)
+    assert "map_starts" not in man["stages"]["gsa"] | man["stages"]["forward"]
 
     assert main(["pipeline", "--config", cfg_path, "--out", str(out2)]) == 0
     files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())

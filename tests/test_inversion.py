@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 
 import sguq.inversion
 from sguq._trf import trf_unit_box
+from trf_reference import trf_unit_box as reference_trf_unit_box
 from sguq.indices import generate_index_set
 from sguq.inversion import (
     CLUSTER_TOL,
@@ -236,9 +237,9 @@ def test_find_map_start_point_is_the_first_start_of_each_minimum(
     # moved with any rounding change; the first start in start order does not
     ends = []
 
-    def recording(fun, jac, x0, tol):
-        res = trf_unit_box(fun, jac, x0, tol)
-        ends.append((x0, res.x, 2.0 * res.cost))
+    def recording(fun, x0, tol):
+        res = trf_unit_box(fun, x0, tol)
+        ends.extend(zip(x0, res[0], 2.0 * res[1]))
         return res
 
     monkeypatch.setattr(sguq.inversion, "trf_unit_box", recording)
@@ -348,6 +349,39 @@ def test_find_map_agrees_with_nelder_mead_oracle(case):
     assert res.n_not_converged == 0
 
 
+def record_searches(monkeypatch, cases):
+    """Run find_map on each case; per case: the lockstep search's batch function, x0, tol, result."""
+    searches = []
+
+    def recording(fun, x0, tol):
+        searches.append((fun, x0, tol, trf_unit_box(fun, x0, tol)))
+        return searches[-1][-1]
+
+    monkeypatch.setattr(sguq.inversion, "trf_unit_box", recording)
+    for case in cases:
+        sur, meas, n_starts, seed = case()
+        find_map(sur, meas, n_starts=n_starts, seed=seed)
+    monkeypatch.undo()
+    return searches
+
+
+def single_point_starts(fun, x0, tol, res):
+    """Per start: closures taking one point through the batch function, x0, tol and result.
+
+    The closures pass a batch of one and return C-contiguous arrays.
+    """
+    def one(z):
+        return np.ascontiguousarray(fun(z[None])[0][0])
+
+    def one_jac(z):
+        return np.ascontiguousarray(fun(z[None])[1]([0])[0])
+
+    return [(one, one_jac, z, tol, tuple(a[k] for a in res)) for k, z in enumerate(x0)]
+
+
+ORACLE_CASES = [beam_case(s) for s in range(3, 40)] + [linear_gaussian_case, analytic_4d_case]
+
+
 def test_trf_port_agrees_with_scipy_least_squares(monkeypatch):
     """SciPy's least_squares(method="trf") is the oracle for every start find_map makes.
 
@@ -357,19 +391,11 @@ def test_trf_port_agrees_with_scipy_least_squares(monkeypatch):
     different LAPACK builds, and an SVD rounded differently can tip a
     stopping test or the choice among near-equal steps at a box-edge
     minimum.  With SciPy's TRF running on numpy's SVD, the two must agree
-    bit for bit.
+    bit for bit.  SciPy runs each start alone, on single-point closures
+    built from the lockstep search's batch function.
     """
-    calls = []
-
-    def recording(fun, jac, x0, tol):
-        calls.append((fun, jac, x0, tol, trf_unit_box(fun, jac, x0, tol)))
-        return calls[-1][-1]
-
-    monkeypatch.setattr(sguq.inversion, "trf_unit_box", recording)
-    for case in [beam_case(s) for s in range(3, 40)] + [linear_gaussian_case,
-                                                         analytic_4d_case]:
-        sur, meas, n_starts, seed = case()
-        find_map(sur, meas, n_starts=n_starts, seed=seed)
+    calls = [start for search in record_searches(monkeypatch, ORACLE_CASES)
+             for start in single_point_starts(*search)]
     assert len(calls) == 37 * 16 + 6 + 8
 
     def scipy_trf(fun, jac, x0, tol):
@@ -377,18 +403,97 @@ def test_trf_port_agrees_with_scipy_least_squares(monkeypatch):
                                             ftol=tol, xtol=tol, gtol=tol)
 
     same_record = 0
-    for fun, jac, x0, tol, ours in calls:
+    for fun, jac, x0, tol, (x, cost, status, nfev, njev) in calls:
         ref = scipy_trf(fun, jac, x0, tol)
-        same_record += (ours.status, ours.nfev, ours.njev) == (ref.status, ref.nfev, ref.njev)
-        assert np.linalg.norm(ours.x - ref.x) < 1e-7
+        same_record += (status, nfev, njev) == (ref.status, ref.nfev, ref.njev)
+        assert np.linalg.norm(x - ref.x) < 1e-7
     assert same_record >= 0.99 * len(calls)
 
     monkeypatch.setattr("scipy.optimize._lsq.trf.svd",
                         lambda a, full_matrices: np.linalg.svd(a, full_matrices=full_matrices))
-    for fun, jac, x0, tol, ours in calls:
+    for fun, jac, x0, tol, (x, cost, status, nfev, njev) in calls:
         ref = scipy_trf(fun, jac, x0, tol)
-        assert (ours.status, ours.nfev, ours.njev) == (ref.status, ref.nfev, ref.njev)
-        assert np.array_equal(ours.x, ref.x) and ours.cost == ref.cost
+        assert (status, nfev, njev) == (ref.status, ref.nfev, ref.njev)
+        assert np.array_equal(x, ref.x) and cost == ref.cost
+
+
+def inert_dimension_case():
+    # the outputs ignore b, so the Jacobian's b column and the Coleman-Li term
+    # of b are exactly 0: every trust-region solve is rank deficient
+    amat = np.array([[1.0, 0.0], [0.2, 0.0], [0.7, 0.0]])
+    space = ParameterSpace.from_pairs([("a", Uniform(-1, 1)), ("b", Uniform(-1, 1))])
+    grid = build_sparse_grid(space, generate_index_set("sum", 2, 2))
+    sur = Surrogate.from_model(grid, lambda p: np.tanh(p @ amat.T))
+    m = Measurements(values=[0.3, 0.05, 0.2], location_ids=(0, 1, 2), noise_std=0.1)
+    return sur, m, 6, 1
+
+
+def assert_starts_match_the_reference_driver(surrogate, meas, x0, tol, res):
+    """Each start of the lockstep search ends bit for bit where the scalar driver ends it.
+
+    The scalar driver runs on the closures find_map used before the lockstep
+    search: single-point ``evaluate`` and ``jacobian``.
+    """
+    box = surrogate.grid.space.uniform_box()
+    lo, width = box[0], box[1] - box[0]
+    ids = list(meas.location_ids)
+
+    def fun(z):
+        return surrogate.evaluate(lo + z * width, warn_outside=False)[ids] - meas.values
+
+    def jac(z):
+        return surrogate.jacobian(lo + z * width)[ids] * width
+
+    for k, z in enumerate(x0):
+        ref = reference_trf_unit_box(fun, jac, z, tol)
+        x, cost, status, nfev, njev = (a[k] for a in res)
+        assert np.array_equal(x, ref.x) and cost == ref.cost
+        assert (status, nfev, njev) == (ref.status, ref.nfev, ref.njev)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES + [inert_dimension_case],
+                         ids=[f"beam_seed{s}" for s in range(3, 40)]
+                         + ["linear_gaussian", "analytic_4d", "inert_dimension"])
+def test_lockstep_starts_match_the_scalar_driver(monkeypatch, case):
+    sur, meas = case()[:2]
+    [(fun, x0, tol, res)] = record_searches(monkeypatch, [case])
+    if case is inert_dimension_case:
+        assert np.all(fun(x0)[1](np.arange(len(x0)))[:, :, 1] == 0)
+    assert_starts_match_the_reference_driver(sur, meas, x0, tol, res)
+
+
+def test_a_start_that_spends_its_budget_matches_the_scalar_driver(monkeypatch):
+    # with tol = 0 no stopping test can hold, so every start runs 100 d residuals
+    # and stops with status 0; once converged, its zero steps shrink the radius
+    # to 0 and the trust-region solve divides 0 by 0, on both drivers alike
+    sur, meas, n_starts, _ = linear_gaussian_case()
+    [(fun, x0, _, _)] = record_searches(monkeypatch, [linear_gaussian_case])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = trf_unit_box(fun, x0, 0.0)
+        assert_starts_match_the_reference_driver(sur, meas, x0, 0.0, res)
+    assert res[2].tolist() == [0] * n_starts and res[3].tolist() == [200] * n_starts
+
+
+@pytest.mark.parametrize("n_measured", [9, 129], ids=["9_of_129", "all_outputs"])
+def test_map_residual_and_jacobian_rows_keep_the_single_point_bits(monkeypatch, n_measured):
+    # one gemm over a batch would round a point's row otherwise: the search sees
+    # the residuals and Jacobians of single-point evaluate and jacobian calls
+    space = ParameterSpace.from_pairs(BEAM_BOUNDS)
+    sur = Surrogate.from_model(build_sparse_grid(space, generate_index_set("sum", 2, 3)),
+                               beam_proxy)
+    meas = synthesize_data(beam_proxy, VBAR, range(n_measured), SIGMA, SEED)
+    [(fun, _, _, _)] = record_searches(monkeypatch, [lambda: (sur, meas, 4, SEED)])
+    box = space.uniform_box()
+    lo, width = box[0], box[1] - box[0]
+    ids = list(range(n_measured))
+    z = np.random.default_rng(5).random((16, 2))
+    for q in (1, 2, 16):
+        values, jac = fun(z[:q])
+        rows = np.arange(q)[::-2]
+        for i, row_jac in zip(rows, jac(rows)):
+            v = lo + z[i] * width
+            assert np.array_equal(values[i], sur.evaluate(v)[ids] - meas.values)
+            assert np.array_equal(row_jac, sur.jacobian(v)[ids] * width)
 
 
 def test_sigma_map_arithmetic():

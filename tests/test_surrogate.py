@@ -427,9 +427,11 @@ def test_derivatives_reject_a_point_of_the_wrong_dimension():
         for method in (sur.jacobian, sur.derivatives):
             with pytest.raises(ValueError, match=message):
                 method(np.array(v))
-    for method in (sur.jacobian, sur.derivatives):
+    with pytest.raises(ValueError, match="one point"):
+        sur.derivatives(np.array([[1300.0, -2.0]]))
+    for v in ([[[1300.0, -2.0]]], 1300.0):
         with pytest.raises(ValueError, match="one point"):
-            method(np.array([[1300.0, -2.0]]))
+            sur.jacobian(np.array(v))
 
 
 def test_first_order_derivatives_match_second_order_ones():
@@ -445,6 +447,25 @@ def test_first_order_derivatives_match_second_order_ones():
                               rng.uniform(10.0, 20.0, 5), rng.uniform(0.0, 0.5, 5)])
     for v in points:
         assert np.array_equal(sur.jacobian(v), sur.derivatives(v)[1])
+
+
+def test_a_jacobian_batch_keeps_each_points_bits():
+    # each point of a batch takes its own vector-matrix product, unlike evaluate's gemm
+    space = ParameterSpace.from_pairs([("a", Uniform(1.0, 3.0)), ("b", Gaussian(0.0, 2.0)),
+                                       ("c", Uniform(10.0, 20.0))])
+    grid = build_sparse_grid(space, generate_index_set("sum", 3, 3))
+    sur = Surrogate.from_model(
+        grid, lambda p: np.column_stack([np.exp(0.3 * p[:, 0]) * np.sin(p[:, 1]), p[:, 2]]
+                                        + [p[:, 0] * np.cos(k * p[:, 1]) for k in range(40)]))
+    rng = np.random.default_rng(8)
+    points = np.column_stack([rng.uniform(1.0, 3.0, 16), rng.normal(0.0, 2.0, 16),
+                              rng.uniform(10.0, 20.0, 16)])
+    for q in (1, 2, 16):
+        batch = sur.jacobian(points[:q])
+        assert batch.shape == (q, 42, 3)
+        for v, jac in zip(points, batch):
+            assert np.array_equal(jac, sur.jacobian(v))
+            assert np.array_equal(jac, sur.derivatives(v)[1])
 
 
 def basis_tables_loop(dists, X, degree, derivatives=0):
