@@ -180,10 +180,10 @@ def find_map(surrogate: Surrogate, meas: Measurements, n_starts: int = 16,
     box-normalized coordinates bounded to [0, 1]: the residual is the
     surrogate minus the data and the Jacobian is the surrogate's exact one
     scaled by the box width, so every iterate and every minimum stays inside
-    the box.  Each start's status keeps SciPy's
-    meaning: 0 the budget of 100 d residual evaluations ran out, 1 gtol,
-    2 ftol, 3 xtol, 4 ftol and xtol.  Converged points are merged within a
-    small box-normalized distance and the lowest misfit is the MAP.
+    the box.  Each start's status keeps SciPy's meaning: 0 the budget of
+    100 d residual evaluations ran out, 1 gtol, 2 ftol, 3 xtol, 4 ftol and
+    xtol.  Converged points are merged within a small box-normalized
+    distance and the lowest misfit is the MAP.
     """
     if n_starts < MIN_STARTS:
         raise ValueError(f"n_starts must be >= {MIN_STARTS}, got {n_starts}")
@@ -191,12 +191,12 @@ def find_map(surrogate: Surrogate, meas: Measurements, n_starts: int = 16,
     box = space.uniform_box()
     lo, width = box[0], box[1] - box[0]
     ids = list(meas.location_ids)
+    eye = np.eye(space.n_dims, dtype=int)
 
     def residuals(Z):
         # one basis table gives the residuals and, at the accepted points, the
         # Jacobians; take keeps their rows C-contiguous, as the search needs
         term = surrogate._derivative_terms(lo + Z * width, 1, batch=True)
-        eye = np.eye(space.n_dims, dtype=int)
         return term(0 * eye[0]).take(ids, axis=1) - meas.values, lambda rows: np.stack(
             [term(e, rows).take(ids, axis=1) for e in eye], axis=-1) * width
 

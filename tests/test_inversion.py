@@ -350,7 +350,7 @@ def test_find_map_agrees_with_nelder_mead_oracle(case):
 
 
 def record_searches(monkeypatch, cases):
-    """Run find_map on each case; per case: the lockstep search's batch function, x0, tol, result."""
+    """Run find_map on each case; per case: the search's batch function, x0, tol and result."""
     searches = []
 
     def recording(fun, x0, tol):
@@ -428,11 +428,12 @@ def inert_dimension_case():
     return sur, m, 6, 1
 
 
-def assert_starts_match_the_reference_driver(surrogate, meas, x0, tol, res):
-    """Each start of the lockstep search ends bit for bit where the scalar driver ends it.
+def assert_starts_match_the_one_start_search(surrogate, meas, x0, tol, res):
+    """Each start of the lockstep search ends bit for bit where it ends searched alone.
 
-    The scalar driver runs on the closures find_map used before the lockstep
-    search: single-point ``evaluate`` and ``jacobian``.
+    The one-start search of ``tests/trf_reference.py`` runs on the closures
+    find_map used before the lockstep search: single-point ``evaluate`` and
+    ``jacobian``.
     """
     box = surrogate.grid.space.uniform_box()
     lo, width = box[0], box[1] - box[0]
@@ -454,23 +455,23 @@ def assert_starts_match_the_reference_driver(surrogate, meas, x0, tol, res):
 @pytest.mark.parametrize("case", ORACLE_CASES + [inert_dimension_case],
                          ids=[f"beam_seed{s}" for s in range(3, 40)]
                          + ["linear_gaussian", "analytic_4d", "inert_dimension"])
-def test_lockstep_starts_match_the_scalar_driver(monkeypatch, case):
+def test_lockstep_starts_match_the_one_start_search(monkeypatch, case):
     sur, meas = case()[:2]
     [(fun, x0, tol, res)] = record_searches(monkeypatch, [case])
     if case is inert_dimension_case:
         assert np.all(fun(x0)[1](np.arange(len(x0)))[:, :, 1] == 0)
-    assert_starts_match_the_reference_driver(sur, meas, x0, tol, res)
+    assert_starts_match_the_one_start_search(sur, meas, x0, tol, res)
 
 
-def test_a_start_that_spends_its_budget_matches_the_scalar_driver(monkeypatch):
+def test_a_start_that_spends_its_budget_matches_the_one_start_search(monkeypatch):
     # with tol = 0 no stopping test can hold, so every start runs 100 d residuals
     # and stops with status 0; once converged, its zero steps shrink the radius
-    # to 0 and the trust-region solve divides 0 by 0, on both drivers alike
+    # to 0 and the trust-region solve divides 0 by 0, on both searches alike
     sur, meas, n_starts, _ = linear_gaussian_case()
     [(fun, x0, _, _)] = record_searches(monkeypatch, [linear_gaussian_case])
     with np.errstate(divide="ignore", invalid="ignore"):
         res = trf_unit_box(fun, x0, 0.0)
-        assert_starts_match_the_reference_driver(sur, meas, x0, 0.0, res)
+        assert_starts_match_the_one_start_search(sur, meas, x0, 0.0, res)
     assert res[2].tolist() == [0] * n_starts and res[3].tolist() == [200] * n_starts
 
 
