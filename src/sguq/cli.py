@@ -34,6 +34,7 @@ from . import __version__
 from .forward import (
     KDE_GRID_SIZE, MIN_KDE_GRID, MIN_KDE_SAMPLES, BandComparison, estimate_densities,
     propagate, sample_posterior, uncertainty_bands, write_bands_csv, write_densities_json,
+    write_json,
 )
 from .indices import KINDS, generate_index_set
 from .inversion import (
@@ -328,20 +329,19 @@ def _validation_table(surrogate: Surrogate, outputs, samples, reference) -> dict
 
 
 def _utc_timestamp() -> str:
+    """The manifest's creation time: SOURCE_DATE_EPOCH, if set, or now."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    try:
+        return time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                             time.gmtime(int(epoch) if epoch else int(time.time())))
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError(f"SOURCE_DATE_EPOCH must be whole seconds since 1970-01-01 UTC, "
+                          f"got {epoch!r}") from None
 
 
 def _config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _write_json(path: Path, data):
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +371,7 @@ def run_gsa(config: Config, out: Path) -> dict:
                          f"{result.total[opts['outputs']].max():.3g}")
     data = sobol_result_to_json_dict(result, opts["threshold"], ranking)
     data.update(sample_size=opts["n_samples"], seed=opts["seed"])
-    _write_json(stage_dir / "sobol.json", data)
+    write_json(stage_dir / "sobol.json", data)
     keep_names = [space.names[i] for i in ranking["keep"]]
     drop_names = [space.names[i] for i in ranking["drop"]]
     _log(f"gsa: keep {keep_names}, drop {drop_names}")
@@ -432,18 +432,18 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     stage_dir.mkdir(parents=True, exist_ok=True)
 
     surrogate = Surrogate(grid, values[n_data:top], handle.output_names)
-    _write_json(stage_dir / "surrogate.json", surrogate_to_json_dict(surrogate))
+    write_json(stage_dir / "surrogate.json", surrogate_to_json_dict(surrogate))
     counts = _counts(ran[:top], n_data)
     _log(f"invert: {grid.n_points} grid points, {counts['model_evaluations']} model evaluations, "
          f"{counts['reused_evaluations']} reused")
-    _write_json(stage_dir / "measurements.json", meas.to_json_dict())
+    write_json(stage_dir / "measurements.json", meas.to_json_dict())
 
     files = {"surrogate": "invert/surrogate.json",
              "measurements": "invert/measurements.json"}
     if validate:
         ids = list(meas.location_ids)
-        _write_json(stage_dir / "validation.json",
-                    _validation_table(surrogate, ids, samples, values[top:][:, ids]))
+        write_json(stage_dir / "validation.json",
+                   _validation_table(surrogate, ids, samples, values[top:][:, ids]))
         files["validation"] = "invert/validation.json"
         _log(f"invert: validation at w=0..{opts['w']} done")
 
@@ -459,9 +459,9 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     posterior = build_posterior(map_result, cov, profiles, space, s2,
                                 chi2_threshold=opts["chi2_threshold"],
                                 flat_fraction=opts["flat_fraction"])
-    _write_json(stage_dir / "inversion.json",
-                inversion_report_json_dict(meas, map_result, s2, cov, profiles, posterior))
-    _write_json(stage_dir / "posterior.json", posterior.to_json_dict())
+    write_json(stage_dir / "inversion.json",
+               inversion_report_json_dict(meas, map_result, s2, cov, profiles, posterior))
+    write_json(stage_dir / "posterior.json", posterior.to_json_dict())
     files["report"] = "invert/inversion.json"
     files["posterior"] = "invert/posterior.json"
     _log(f"invert: v_map={np.round(map_result.v_map, 4).tolist()}, "
@@ -556,9 +556,9 @@ def run_forward(config: Config, out: Path, validate: bool = False,
 
     files = {}
     if validate:
-        _write_json(stage_dir / "validation.json",
-                    _validation_table(surrogate, range(surrogate.n_outputs), val_samples,
-                                      values[grid.n_points:top]))
+        write_json(stage_dir / "validation.json",
+                   _validation_table(surrogate, range(surrogate.n_outputs), val_samples,
+                                     values[grid.n_points:top]))
         files["validation"] = "forward/validation.json"
 
     if compare_prior:
@@ -595,18 +595,18 @@ def run_forward(config: Config, out: Path, validate: bool = False,
 # entry point
 # ---------------------------------------------------------------------------
 
-def _write_manifest(out: Path, config: dict, stages: dict):
+def _write_manifest(out: Path, config: dict, created: str, stages: dict):
     total = sum(s.get("model_evaluations", 0) for s in stages.values())
     data_evals = sum(s.get("data_evaluations", 0) for s in stages.values())
     manifest = {
         "tool_version": __version__,
         "config_hash": _config_hash(config),
-        "created": _utc_timestamp(),
+        "created": created,
         "stages": stages,
         "total_model_evaluations": total,
         "data_evaluations": data_evals,
     }
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
 
 
 def main(argv=None) -> int:
@@ -629,6 +629,7 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args.config, args.command)
+        created = _utc_timestamp()
         # the stages the command names, in order, each from its one call site
         stages = {}
         if args.command in ("gsa", "pipeline"):
@@ -650,7 +651,7 @@ def main(argv=None) -> int:
         _log(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
 
-    _write_manifest(out, config.raw, stages)
+    _write_manifest(out, config.raw, created, stages)
     _log(f"done; manifest at {out / 'manifest.json'}")
     return 0
 

@@ -37,6 +37,7 @@ __all__ = [
     "uncertainty_bands",
     "write_bands_csv",
     "write_densities_json",
+    "write_json",
 ]
 
 KDE_GRID_SIZE = 512
@@ -337,6 +338,11 @@ def write_densities_json(path, comparison: BandComparison, location_ids):
                 "degenerate": d.degenerate,
             }
         out.append(entry)
+    write_json(path, out)
+
+
+def write_json(path, data):
+    """Write ``data`` as compact JSON and a newline, the format of every JSON run file."""
     # one-shot dumps runs the C encoder; the streaming json.dump does not
     with open(path, "w") as fh:
-        fh.write(json.dumps(out) + "\n")
+        fh.write(json.dumps(data) + "\n")

@@ -25,7 +25,13 @@ one maximizer, where the derivative of the log objective falls from +inf to
 search width (value-based refinement such as golden section stalls near
 sqrt(machine eps) because the objective is locally flat; the derivative
 crosses zero steeply), and the gap root with the largest objective
-wins.  Before every even step the existing point set is symmetric, so the
+wins.  The bisection runs on Python floats, one gap at a time: each step
+reads a handful of values, where numpy's per-call overhead would cost more
+than the arithmetic, and about 45 steps per gap made that overhead most of a
+stage's grid build.  It reads only the sign of the derivative, which is
+steep at the root, so the points keep the bits of a bisection of all gaps at
+once on arrays; numpy keeps the one log-objective argmax that picks the
+winning gap.  Before every even step the existing point set is symmetric, so the
 objective is symmetric about the center; searching only the left half
 [a, center] is then equivalent to a global search with ties broken toward the
 smaller coordinate, and is numerically deterministic.
@@ -58,29 +64,6 @@ def level_to_knots(level: int) -> int:
     return 2 * level - 1
 
 
-def _argmax_per_gap(logf, dlogf, edges: np.ndarray, tol: float) -> float:
-    """Maximizer of logf on [edges[0], edges[-1]], strictly concave on every gap.
-
-    Each gap between neighbouring edges is bisected on the sign of dlogf down to
-    width ``tol``, or to adjacent floats where ``tol`` is below their spacing
-    (a narrow interval far from zero).  An outer gap whose end is no existing
-    point converges to that end if dlogf is negative there, which is then the
-    maximizer on the gap.  The root with the largest logf wins, the leftmost on
-    a tie.
-    """
-    a, b = edges[:-1], edges[1:]
-    while True:
-        m = 0.5 * (a + b)
-        active = (b - a > tol) & (a < m) & (m < b)
-        if not active.any():
-            break
-        dm = dlogf(m)
-        a = np.where(active & (dm >= 0.0), m, a)
-        b = np.where(active & (dm <= 0.0), m, b)
-    roots = 0.5 * (a + b)
-    return float(roots[np.argmax(logf(roots))])
-
-
 class _GrowingSequence:
     """Greedy Leja sequence on [lo, hi] that extends lazily and caches every prefix.
 
@@ -103,19 +86,38 @@ class _GrowingSequence:
         pts = np.array(self._points)
         # the Gaussian weight sqrt(rho(v)) contributes -v^2/4 to the log objective
         w = 0.25 if self._weighted else 0.0
-
-        def logf(v):
-            return -w * v ** 2 + np.sum(np.log(np.abs(v[:, None] - pts)), axis=1)
-
-        def dlogf(v):
-            return -2.0 * w * v + np.sum(1.0 / (v[:, None] - pts), axis=1)
-
         # point set is symmetric here; the left half holds a global maximizer, and
         # the existing points in it cut it into gaps of one local maximizer each
-        edges = np.unique(np.append(pts[pts < self._center], [self._lo, self._center]))
-        new = _argmax_per_gap(logf, dlogf, edges, REFINE_TOL * (self._center - self._lo))
+        edges = np.unique(np.append(pts[pts < self._center], [self._lo, self._center])).tolist()
+        tol = REFINE_TOL * (self._center - self._lo)
+        roots = np.array([self._gap_root(a, b, w, tol) for a, b in zip(edges, edges[1:])])
+        # the root with the largest log objective wins, the leftmost on a tie
+        logf = -w * roots ** 2 + np.sum(np.log(np.abs(roots[:, None] - pts)), axis=1)
+        new = float(roots[np.argmax(logf)])
         self._points.append(new)
         self._points.append(self._center - (new - self._center))
+
+    def _gap_root(self, a: float, b: float, w: float, tol: float) -> float:
+        """Maximizer of the log objective on the gap [a, b], where it is strictly concave.
+
+        The gap is bisected on the sign of the objective's derivative down to width
+        ``tol``, or to adjacent floats where ``tol`` is below their spacing (a narrow
+        interval far from zero).  An outer gap whose end is no existing point
+        converges to that end if the derivative is negative there, which is then
+        the maximizer on the gap.
+        """
+        m = 0.5 * (a + b)
+        while b - a > tol and a < m < b:
+            s = 0.0
+            for p in self._points:
+                s += 1.0 / (m - p)
+            dm = -2.0 * w * m + s
+            if dm >= 0.0:
+                a = m
+            if dm <= 0.0:
+                b = m
+            m = 0.5 * (a + b)
+        return m
 
 
 @functools.cache

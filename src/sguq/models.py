@@ -12,6 +12,7 @@ not yet run as one batch, so the stage launches the command at most once.
 from __future__ import annotations
 
 import csv
+import math
 import shlex
 import subprocess
 import threading
@@ -282,7 +283,7 @@ class ExternalModel:
                         f"external model {self.name!r} returned a malformed value on line "
                         f"{line_no} for {label}") from exc
                 for name, value in zip(self.output_names, rows[-1]):
-                    if not np.isfinite(value):
+                    if not math.isfinite(value):
                         raise ExternalModelError(f"external model {self.name!r} returned {value} "
                                                  f"for {name!r} on line {line_no} for {label}")
         out = np.array(rows, dtype=float)

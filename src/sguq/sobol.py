@@ -101,8 +101,8 @@ def sobol_result_to_json_dict(result: SobolResult, threshold: float | None = Non
         "method": "modal",
         "outputs": {
             name: {
-                "principal": [float(x) for x in result.principal[k]],
-                "total": [float(x) for x in result.total[k]],
+                "principal": result.principal[k].tolist(),
+                "total": result.total[k].tolist(),
                 "variance": float(result.variance[k]),
                 "degenerate": bool(result.degenerate[k]),
             }

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain, product
 
 import numpy as np
 
@@ -210,10 +211,9 @@ def _grid_degrees(mset: MultiIndexSet) -> np.ndarray:
     nonzero combination coefficient, the order surrogate.json is written in.
     """
     coeffs = combination_coefficients(mset)
-    positions = np.vstack([np.indices([level_to_knots(i) for i in idx]).reshape(mset.dim, -1).T
-                           for idx in mset.indices if coeffs[idx] != 0])
-    _, first = np.unique(positions, axis=0, return_index=True)
-    return positions[np.sort(first)]
+    first = dict.fromkeys(chain.from_iterable(product(*(range(level_to_knots(i)) for i in idx))
+                                              for idx in mset.indices if coeffs[idx] != 0))
+    return np.array(list(first), dtype=int)
 
 
 def _recurrence(dist, degree: int) -> tuple[float, float, list[float]]:
@@ -509,8 +509,8 @@ def surrogate_to_json_dict(surrogate: Surrogate) -> dict:
     return {
         "space": _space_to_json(grid.space),
         "index_set": index_set_to_json_dict(grid.index_set),
-        "points": [[float(x) for x in p] for p in grid.points],
-        "values": [[float(x) for x in col] for col in surrogate.values.T],
+        "points": grid.points.tolist(),
+        "values": surrogate.values.T.tolist(),
         "output_names": list(surrogate.output_names),
     }
 

@@ -466,6 +466,37 @@ def test_pipeline_accounting_and_determinism(tmp_path):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
+def test_every_json_run_file_is_compact(tmp_path):
+    # one writer for every JSON file: compact, by the one-shot C encoder, and a newline
+    cfg = beam_config(forward={"n_samples": 1000})
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--validate", "--compare-prior", "--densities"]) == 0
+    files = sorted(out.rglob("*.json"))
+    assert {p.relative_to(out).as_posix() for p in files} == {
+        "manifest.json", "gsa/sobol.json", "invert/surrogate.json",
+        "invert/measurements.json", "invert/validation.json", "invert/inversion.json",
+        "invert/posterior.json", "forward/validation.json", "forward/densities.json"}
+    for path in files:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text)) + "\n", path
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1.5", "9" * 30])
+def test_malformed_source_date_epoch_exits_2_before_any_stage(tmp_path, capsys, monkeypatch,
+                                                               epoch):
+    # the failing solver would exit 3 had a stage run
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    cfg = beam_config()
+    cfg["model"] = failing_model(tmp_path)
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"SOURCE_DATE_EPOCH must be whole seconds since 1970-01-01 UTC, got {epoch!r}" \
+        in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert not (tmp_path / "w").exists()
+
+
 class CountingModel:
     """Reads only T_A; records every batch it is sent."""
     name, input_names, output_names = "counting", ("T_A",), ("f",)

@@ -10,6 +10,8 @@ from sguq.knots import (
 )
 from sguq.surrogate import Gaussian, Uniform
 
+from knots_reference import reference_sequence
+
 # ---------------------------------------------------------------------------
 # independent argmax oracle: dense million-point scan plus bisection on the
 # derivative of the log objective (a different algorithm from the library's
@@ -136,6 +138,21 @@ def test_41_points_agree_with_the_former_scan(interval):
         ora = oracle_symmetric_leja(41, *interval, argmax=_scan_refine_argmax)
         half_width = 0.5 * (interval[1] - interval[0])
     assert np.max(np.abs(lib - ora)) <= 2.0 * REFINE_TOL * half_width
+
+
+@pytest.mark.parametrize("interval", [(1130.0, 1450.0), (-5.0, 0.0), (-5.0, -1.4), (0.0, 1.0),
+                                      (-1.0, 1.0), (2.0, 3.5), (1e-3, 2e-3), (-100.0, 250.0),
+                                      (1000.0, 1002.0), (1e6, 1e6 + 1.0), (1450.0, 1450.001),
+                                      (-3.7e5, -3.7e5 + 2e-4), (0.1, 7.3e3), None],
+                         ids=lambda iv: "gaussian" if iv is None else str(iv))
+def test_41_points_equal_the_array_bisection(interval):
+    # the gap-by-gap bisection on floats keeps every bit of the bisection of all
+    # gaps at once on arrays
+    if interval is None:
+        lib, ref = symmetric_gaussian_leja(41), reference_sequence(41, -20.0, 20.0, True)
+    else:
+        lib, ref = symmetric_leja(41, *interval), reference_sequence(41, *interval, False)
+    assert np.array_equal(lib, ref)
 
 
 @pytest.mark.parametrize("a, b", [(1000.0, 1002.0), (1e6, 1e6 + 1.0), (1450.0, 1450.001)])

@@ -15,6 +15,7 @@ from sguq.surrogate import (
     Surrogate,
     Uniform,
     _basis,
+    _grid_degrees,
     _recurrence,
     build_sparse_grid,
     surrogate_from_json_dict,
@@ -107,6 +108,27 @@ def test_grid_point_order_is_pinned(kind, dim, w, rows):
     # surrogate.json stores the points in it, so it must not move
     grid = build_sparse_grid(uniform_space([(0, 1)] * dim), generate_index_set(kind, dim, w))
     assert grid.degrees.tolist() == rows
+
+
+def _unique_table(mset):
+    # the former construction: stack every tensor grid of nonzero coefficient, then
+    # keep each row's first appearance with np.unique
+    coeffs = combination_coefficients(mset)
+    positions = np.vstack([np.indices([2 * i - 1 for i in idx]).reshape(mset.dim, -1).T
+                           for idx in mset.indices if coeffs[idx] != 0])
+    _, first = np.unique(positions, axis=0, return_index=True)
+    return positions[np.sort(first)]
+
+
+@pytest.mark.parametrize("kind", ["sum", "max"])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_grid_degrees_equal_the_unique_table(kind, dim):
+    # every w up to 3 (sum) and 2 (max), but the 8-D max w=2 set, whose 5^8 rows
+    # only make the test slow
+    for w in range(4 if kind == "sum" else 3 if dim < 8 else 2):
+        mset = generate_index_set(kind, dim, w)
+        got, want = _grid_degrees(mset), _unique_table(mset)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (w, got.shape, want.shape)
 
 
 # ---------------------------------------------------------------------------
