@@ -25,16 +25,18 @@ one maximizer, where the derivative of the log objective falls from +inf to
 search width (value-based refinement such as golden section stalls near
 sqrt(machine eps) because the objective is locally flat; the derivative
 crosses zero steeply), and the gap root with the largest objective
-wins.  The bisection runs on Python floats, one gap at a time: each step
-reads a handful of values, where numpy's per-call overhead would cost more
-than the arithmetic, and about 45 steps per gap made that overhead most of a
-stage's grid build.  It reads only the sign of the derivative, which is
-steep at the root, so the points keep the bits of a bisection of all gaps at
-once on arrays; numpy keeps the one log-objective argmax that picks the
-winning gap.  Before every even step the existing point set is symmetric, so the
-objective is symmetric about the center; searching only the left half
-[a, center] is then equivalent to a global search with ties broken toward the
-smaller coordinate, and is numerically deterministic.
+wins.  The bisection runs on Python floats, one gap at a time: a step
+reads a few values, so numpy's per-call overhead would cost more than its
+arithmetic, and over about 45 steps per gap that overhead was most of a
+stage's grid build.  From 8 points on, the float loop sums the derivative's
+terms in another order than numpy's row reduction, but the bisection reads
+only the sign, and the derivative is steep at the root, so the points keep
+the bits of the array bisection of all gaps at once; numpy keeps the one
+argmax of the log objective that picks the winning gap.  Before every even
+step the existing point set is symmetric, so the objective is symmetric about
+the center; searching only the left half [a, center] is then equivalent to a
+global search with ties broken toward the smaller coordinate, and is
+numerically deterministic.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ reduction; the library bisects one gap at a time on Python floats.
 
 import numpy as np
 
-REFINE_TOL = 1e-13
+from sguq.knots import REFINE_TOL
 
 
 def _argmax_per_gap(logf, dlogf, edges: np.ndarray, tol: float) -> float:
