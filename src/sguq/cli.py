@@ -90,13 +90,17 @@ def _require(ok: bool, key: str, rule: str, value):
         raise ConfigError(f"{key} must be {rule}, got {value!r}")
 
 
+def _require_known(keys, known, what: str):
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown}")
+
+
 def _check_section(config: dict, stage: str) -> dict:
     """A stage's options with defaults filled in; each given one has its default's type."""
     given = config.get(stage, {})
     _require(isinstance(given, dict), f"config section {stage!r}", "an object", given)
-    unknown = sorted(set(given) - set(STAGE_OPTIONS[stage]))
-    if unknown:
-        raise ConfigError(f"unknown {stage} option(s) {unknown}")
+    _require_known(given, STAGE_OPTIONS[stage], f"{stage} option(s)")
     for key, value in given.items():
         default, name = STAGE_OPTIONS[stage][key], f"{stage}.{key}"
         low = MIN_VALUES.get(name, 0)
@@ -123,6 +127,8 @@ Config = namedtuple("Config", "raw space handle stages fixed runs")
 def _load_config(path: str, command: str) -> Config:
     """Read a config and check all of it, before any stage runs a solver."""
     raw = _read_json_file(path, "config", lambda data: data)
+    _require(isinstance(raw, dict), f"config {path}", "a JSON object", type(raw).__name__)
+    _require_known(raw, ["space", "model", *STAGE_OPTIONS], "config key(s)")
     try:
         space = _space_from_json(raw["space"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -186,22 +192,25 @@ def _make_model(config: dict):
     spec = config.get("model")
     if not isinstance(spec, dict):
         raise ConfigError("config requires a 'model' object")
+    if ("builtin" in spec) == ("command" in spec):
+        raise ConfigError("model must specify one of 'builtin' and 'command'")
     if "builtin" in spec:
+        _require_known(spec, ["builtin"], "builtin model key(s)")
         try:
             return register_builtin(spec["builtin"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if "command" in spec:
-        try:
-            return ExternalModel(
-                command=spec["command"], workdir=spec.get("workdir", "."),
-                input_names=spec["inputs"], output_names=spec["outputs"],
-                timeout=spec.get("timeout", 3600.0),
-                output_coordinates=spec.get("coordinates"),
-                name=spec.get("name", "external"))
-        except KeyError as exc:
-            raise ConfigError(f"external model config missing {exc}") from exc
-    raise ConfigError("model must specify 'builtin' or 'command'")
+    _require_known(spec, ["command", "workdir", "inputs", "outputs", "timeout", "coordinates",
+                          "name"], "external model key(s)")
+    timeout = spec.get("timeout", 3600.0)
+    _require(_is_number(timeout) and timeout > 0, "model.timeout", "a number > 0", timeout)
+    try:
+        return ExternalModel(
+            command=spec["command"], workdir=spec.get("workdir", "."),
+            input_names=spec["inputs"], output_names=spec["outputs"], timeout=timeout,
+            output_coordinates=spec.get("coordinates"), name=spec.get("name", "external"))
+    except KeyError as exc:
+        raise ConfigError(f"external model config missing {exc}") from exc
 
 
 def _run_rows(config: Config, space: ParameterSpace, rows: np.ndarray):

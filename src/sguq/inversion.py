@@ -116,26 +116,25 @@ class Measurements:
 
 
 def synthesize_data(model, target, location_ids, noise_std: float, seed: int) -> Measurements:
-    """Noisy synthetic measurements: model at the target plus iid Gaussian noise."""
+    """Noisy synthetic measurements: the callable ``model`` at the target plus iid Gaussian noise."""
     target = np.asarray(target, dtype=float)
-    outputs = model(target[None, :]) if callable(model) else model.evaluate(target[None, :])
-    clean = np.asarray(outputs, dtype=float)[0, list(location_ids)]
+    clean = np.asarray(model(target[None, :]), dtype=float)[0, list(location_ids)]
     rng = np.random.default_rng(seed)
     noisy = clean + rng.normal(0.0, noise_std, size=clean.shape)
     return Measurements(values=noisy, location_ids=tuple(location_ids),
                         noise_std=noise_std, seed=seed, target=target)
 
 
-def least_squares(surrogate: Surrogate, meas: Measurements, v, warn_outside=True) -> float | np.ndarray:
+def least_squares(surrogate: Surrogate, meas: Measurements, v) -> float | np.ndarray:
     """Sum of squared misfits between the data and the surrogate at v."""
-    misfit = meas.values - surrogate.evaluate(v, warn_outside=warn_outside)[..., list(meas.location_ids)]
+    misfit = meas.values - surrogate.evaluate(v)[..., list(meas.location_ids)]
     ls = np.sum(misfit * misfit, axis=-1)
     return float(ls) if np.ndim(v) == 1 else ls
 
 
-def log_likelihood(surrogate: Surrogate, meas: Measurements, v, warn_outside=True):
+def log_likelihood(surrogate: Surrogate, meas: Measurements, v):
     """Gaussian log-likelihood; its argmax equals the least-squares argmin."""
-    ls = least_squares(surrogate, meas, v, warn_outside=warn_outside)
+    ls = least_squares(surrogate, meas, v)
     s2 = meas.noise_std ** 2
     return -0.5 * meas.n * np.log(2.0 * np.pi * s2) - ls / (2.0 * s2)
 
@@ -177,10 +176,10 @@ def find_map(surrogate: Surrogate, meas: Measurements, n_starts: int = 16,
     Starts are a Latin hypercube over the prior box.  All run a numpy port of
     SciPy's trust-region reflective method (Branch, Coleman & Li, SIAM J. Sci.
     Comput. 1999) one step per pass, each ending where it would alone, in
-    box-normalized coordinates bounded to [0, 1]: the residual is the
-    surrogate minus the data and the Jacobian is the surrogate's exact one
-    scaled by the box width, so every iterate and every minimum stays inside
-    the box.  Each start's status keeps SciPy's meaning: 0 the budget of
+    box-normalized coordinates bounded to [0, 1], so every iterate and every
+    minimum stays inside the box.  A pass reads its residuals (surrogate minus
+    data) and exact Jacobians (times the box width) off one ``Surrogate.terms``
+    table.  Each start's status keeps SciPy's meaning: 0 the budget of
     100 d residual evaluations ran out, 1 gtol, 2 ftol, 3 xtol, 4 ftol and
     xtol.  Converged points are merged within a small box-normalized
     distance and the lowest misfit is the MAP.
@@ -196,7 +195,7 @@ def find_map(surrogate: Surrogate, meas: Measurements, n_starts: int = 16,
     def residuals(Z):
         # one basis table gives the residuals and, at the accepted points, the
         # Jacobians; take keeps their rows C-contiguous, as the search needs
-        term = surrogate._derivative_terms(lo + Z * width, 1, batch=True)
+        term = surrogate.terms(lo + Z * width, 1)
         return term(0 * eye[0]).take(ids, axis=1) - meas.values, lambda rows: np.stack(
             [term(e, rows).take(ids, axis=1) for e in eye], axis=-1) * width
 

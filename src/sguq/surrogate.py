@@ -20,8 +20,8 @@ parameter, probabilists' Hermite polynomials for a Gaussian one.  They are
 computed in Newton form on Lambda: divided differences along the fibers of
 each axis, then one Newton -> orthonormal change of basis per axis.
 Evaluation, Jacobians, Hessians and that change of basis use one three-term
-recurrence per dimension, on constants fixed when the surrogate is built: on
-a Python float for one point's value, on a column otherwise.
+recurrence per dimension, on a column of points and on constants fixed when
+the surrogate is built.
 
 The surrogate of a P-valued model stores one value vector per global grid
 point, so any number of outputs share a single set of model runs.
@@ -77,8 +77,8 @@ class Uniform:
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"uniform range requires a < b, got [{self.a}, {self.b}]")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"uniform range requires finite a < b, got [{self.a}, {self.b}]")
 
     @property
     def center(self) -> float:
@@ -100,8 +100,9 @@ class Gaussian:
     std: float
 
     def __post_init__(self):
-        if self.std <= 0:
-            raise ValueError(f"gaussian std must be > 0, got {self.std}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.std) and self.std > 0):
+            raise ValueError(f"gaussian requires a finite mean and a finite std > 0, "
+                             f"got mean {self.mean}, std {self.std}")
 
     @property
     def center(self) -> float:
@@ -228,16 +229,15 @@ def _recurrence(dist, degree: int) -> tuple[float, float, list[float]]:
     return dist.center, dist.scale, [math.sqrt(k) for k in ks]
 
 
-def _basis(x, recurrence, derivatives: int = 0) -> np.ndarray:
-    """phi_0..phi_K of a marginal's `_recurrence` and their derivatives at x, a float or 1-D array.
+def _basis(x: np.ndarray, recurrence, derivatives: int = 0) -> np.ndarray:
+    """phi_0..phi_K of a marginal's `_recurrence` and their derivatives at the 1-D array x.
 
-    The result has shape (derivatives + 1,) + shape(x) + (K + 1,).  Differentiating
-    the recurrence r times adds r phi_k^(r-1) to its left-hand side.  A float takes
-    the same IEEE operations, in the same order, as each element of an array.
+    The result has shape (derivatives + 1, len(x), K + 1).  Differentiating the
+    recurrence r times adds r phi_k^(r-1) to its left-hand side.
     """
     center, half, b = recurrence
     t = (x - center) / half
-    one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    one = np.ones_like(t)
     # phi[r][k]: the r-th derivative in t of phi_k
     phi = [[one if r == 0 else 0.0 * one] + [None] * len(b) for r in range(derivatives + 1)]
     for j, bj in enumerate(b):
@@ -349,41 +349,42 @@ class Surrogate:
         """Fill values by calling model_fn once on all global points."""
         return cls(grid=grid, values=model_fn(grid.points), output_names=tuple(output_names))
 
-    def _rows(self, x, derivatives: int = 0) -> list[np.ndarray]:
-        """Per dim n: basis (and derivatives) at x[n], a float or a column, per degree row."""
-        return [_basis(xn, recurrence, derivatives)[..., deg] for xn, recurrence, deg
-                in zip(x, self._recurrences, self.grid.degrees.T)]
+    def _points(self, v) -> np.ndarray:
+        """One point (N,) or a batch (Q, N), checked, as a (Q, N) float batch."""
+        v = np.asarray(v, dtype=float)
+        ndim = self.grid.space.n_dims
+        if v.ndim not in (1, 2):
+            raise ValueError(f"takes one point ({ndim},) or a batch (Q, {ndim}), got {v.shape}")
+        if v.shape[-1] != ndim:
+            raise ValueError(f"points have dimension {v.shape[-1]}, expected {ndim}")
+        return np.atleast_2d(v)
 
-    def evaluate(self, v: np.ndarray, warn_outside: bool = True) -> np.ndarray:
+    def _rows(self, X: np.ndarray, derivatives: int = 0) -> list[np.ndarray]:
+        """Per dim n: basis (and derivatives) at the column X[n], per degree row."""
+        return [_basis(xn, recurrence, derivatives)[..., deg] for xn, recurrence, deg
+                in zip(X, self._recurrences, self.grid.degrees.T)]
+
+    def evaluate(self, v: np.ndarray) -> np.ndarray:
         """Evaluate the interpolant: modal basis rows times the coefficients.
 
-        Accepts a single point (N,) or a batch (Q, N); returns (P,) or (Q, P).
-        A batch is one matrix product: a point's row may differ from its
-        single-point value in the last bits, where ``jacobian`` keeps them.
-        Points outside a uniform parameter's interval are evaluated by
-        polynomial extrapolation and flagged with ExtrapolationWarning.
+        Accepts one point (N,), as a batch of one, or a batch (Q, N); returns (P,)
+        or (Q, P).  A batch is one matrix product: a point's row may differ from
+        its value alone in the last bits, where ``terms`` keeps them.  Points
+        outside a uniform parameter's interval are evaluated by polynomial
+        extrapolation and flagged with ExtrapolationWarning.
         """
-        v = np.asarray(v, dtype=float)
-        if v.ndim not in (1, 2):
-            raise ValueError(f"evaluate takes one point (N,) or a batch (Q, N), got shape {v.shape}")
-        single = v.ndim == 1
-        V = v[None, :] if single else v
-        if V.shape[1] != self.grid.space.n_dims:
-            raise ValueError(f"points have dimension {V.shape[1]}, expected {self.grid.space.n_dims}")
+        V = self._points(v)
         for n, d in enumerate(self.grid.space.dims):
-            if warn_outside and isinstance(d.dist, Uniform) and np.any(
-                    (V[:, n] < d.dist.a) | (V[:, n] > d.dist.b)):
+            if isinstance(d.dist, Uniform) and np.any((V[:, n] < d.dist.a) | (V[:, n] > d.dist.b)):
                 warnings.warn(f"evaluating surrogate outside [{d.dist.a}, {d.dist.b}] in "
                               f"dimension {d.name!r}: polynomial extrapolation",
                               ExtrapolationWarning, stacklevel=2)
 
         out = np.empty((len(V), self.n_outputs))
         for start in range(0, len(V), EVAL_BLOCK_ROWS):
-            # one float per dimension for a single point, else one column per dimension
-            x = v.tolist() if single else V[start:start + EVAL_BLOCK_ROWS].T
-            rows = math.prod(f[0] for f in self._rows(x))
-            out[start:start + EVAL_BLOCK_ROWS] = np.atleast_2d(rows) @ self.modal_coefficients
-        return out[0] if single else out
+            rows = math.prod(f[0] for f in self._rows(V[start:start + EVAL_BLOCK_ROWS].T))
+            out[start:start + EVAL_BLOCK_ROWS] = rows @ self.modal_coefficients
+        return out[0] if np.ndim(v) == 1 else out
 
     def restrict(self, mset: MultiIndexSet, outputs) -> "Surrogate":
         """The surrogate of the columns ``outputs`` on the grid of ``mset``, nested in this one.
@@ -404,34 +405,23 @@ class Surrogate:
         return Surrogate(grid=grid, values=self.values[np.ix_(ids, outputs)],
                          output_names=tuple(self.output_names[k] for k in outputs))
 
-    def _derivative_terms(self, v: np.ndarray, derivatives: int, batch: bool = False):
-        """term(orders, rows): (Q, P) outputs differentiated orders[n] times in each dim n,
-        at one point v (N,) as Q = 1, at a batch v (Q, N) if allowed, or at its points
-        ``rows``.  A point's row is its own vector-matrix product, whatever its batch."""
-        v = np.asarray(v, dtype=float)
-        ndim = self.grid.space.n_dims
-        if v.ndim != 1 and not (batch and v.ndim == 2):
-            raise ValueError(f"takes one point ({ndim},){' or a batch (Q, N)' * batch}, "
-                             f"got shape {v.shape}")
-        if v.shape[-1] != ndim:
-            raise ValueError(f"points have dimension {v.shape[-1]}, expected {ndim}")
-        factors = np.array(self._rows(np.atleast_2d(v).T, derivatives=derivatives))
+    def terms(self, v: np.ndarray, derivatives: int):
+        """term(orders, rows): (Q, P) outputs differentiated orders[n] <= ``derivatives``
+        times in each dim n, at one point v (N,) as Q = 1, at a batch v (Q, N), or at its
+        points ``rows``.  A point's row is its own vector-matrix product, so it keeps the
+        bits of ``derivatives(v)``, whatever its batch."""
+        factors = np.array(self._rows(self._points(v).T, derivatives=derivatives))
 
         def term(orders, rows=slice(None)):
-            basis = np.prod(factors[np.arange(ndim), orders], axis=0)[rows]
+            basis = np.prod(factors[np.arange(len(factors)), orders], axis=0)[rows]
             return (basis[:, None, :] @ self.modal_coefficients)[:, 0]
         return term
 
-    def jacobian(self, v: np.ndarray) -> np.ndarray:
-        """Exact Jacobian (P, N) at one point, or (Q, P, N) at a batch (Q, N), each point
-        with the bits of ``derivatives(v)[1]``, whatever its batch."""
-        term = self._derivative_terms(v, 1, batch=True)
-        jac = np.stack([term(e) for e in np.eye(self.grid.space.n_dims, dtype=int)], axis=-1)
-        return jac[0] if np.ndim(v) == 1 else jac
-
     def derivatives(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact value (P,), Jacobian (P, N) and Hessian (P, N, N) at one point."""
-        term = self._derivative_terms(v, 2)
+        if np.ndim(v) != 1:
+            raise ValueError(f"derivatives takes one point (N,), got shape {np.shape(v)}")
+        term = self.terms(v, 2)
         eye = np.eye(self.grid.space.n_dims, dtype=int)
         value = term(np.zeros_like(eye[0]))[0]
         jac = np.array([term(e)[0] for e in eye]).T
@@ -494,13 +484,17 @@ def _space_from_json(data: list) -> ParameterSpace:
     dims = []
     for entry in data:
         kind = entry["distribution"].lower()
+        params = {"uniform": ["range"], "gaussian": ["mean", "std"]}.get(kind)
+        if params is None:
+            raise ValueError(f"unknown distribution kind {entry['distribution']!r}")
+        unknown = sorted(set(entry) - {"name", "distribution", *params})
+        if unknown:
+            raise ValueError(f"unknown key(s) {unknown} of the {kind} dimension {entry['name']!r}")
         if kind == "uniform":
             a, b = entry["range"]
             dims.append(Dim(entry["name"], Uniform(float(a), float(b))))
-        elif kind == "gaussian":
-            dims.append(Dim(entry["name"], Gaussian(float(entry["mean"]), float(entry["std"]))))
         else:
-            raise ValueError(f"unknown distribution kind {entry['distribution']!r}")
+            dims.append(Dim(entry["name"], Gaussian(float(entry["mean"]), float(entry["std"]))))
     return ParameterSpace(dims=tuple(dims))
 
 

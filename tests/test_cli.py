@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +69,12 @@ def read_manifest(out):
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["gsa", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    assert main(["gsa", "--config", write_config(tmp_path, [beam_config()]),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "must be a JSON object, got 'list'" in capsys.readouterr().err
 
 
 def test_misspelled_stage_option_exits_2_and_names_it(tmp_path, capsys):
@@ -999,13 +1006,27 @@ DELETE = object()
     # inversion.dims [T_A, log_h_p] names a Gaussian dimension
     ("space", None, [{"name": "T_A", "distribution": "gaussian", "mean": 1300.0, "std": 40.0}]
      + beam_config()["space"][1:], "inversion.dims", "invert"),
+    ("forwrad", None, {"n_samples": 10000}, "'forwrad'", "forward"),
+    ("space", None, [{**beam_config()["space"][0], "rnage": [1130, 1450]}]
+     + beam_config()["space"][1:], "'rnage'", "gsa"),
+    ("model", "inptus", ["T_A"], "'inptus'", "gsa"),
+    ("model", "builtin", "beam_proxy", "'builtin' and 'command'", "gsa"),
+    ("model", "timeout", "abc", "model.timeout", "gsa"),
+    ("model", "timeout", -1, "model.timeout", "gsa"),
+    ("space", None, [{"name": "T_A", "distribution": "uniform", "range": [1130, math.inf]}]
+     + beam_config()["space"][1:], "finite a < b", "gsa"),
+    ("space", None, beam_config()["space"][:1]
+     + [{"name": "log_h_g", "distribution": "gaussian", "mean": math.nan, "std": 1.0}]
+     + beam_config()["space"][2:], "finite mean", "gsa"),
 ], ids=["kde_grid_typo", "kde_grid_float", "unknown_qoi", "forward_not_object",
         "no_target_no_data", "missing_data_file", "n_starts_string", "gsa_w_string",
         "fixed_value_typo", "fixed_value_string", "fixed_value_outside_range",
         "fixed_value_of_inverted_dim", "n_starts_2", "profile_grid_10", "kind_tri", "forward_n_samples_0", "threshold_2", "negative_noise",
         "chi2_threshold_-1", "chi2_threshold_0", "flat_fraction_2", "flat_fraction_0",
         "dims_repeated", "dims_unknown", "dims_empty", "dims_id", "dims_nested_list",
-        "gaussian_inverted_dim"])
+        "gaussian_inverted_dim", "top_level_typo", "space_entry_extra_key", "model_extra_key",
+        "model_builtin_and_command", "timeout_string", "timeout_negative",
+        "uniform_bound_infinite", "gaussian_mean_nan"])
 def test_config_error_exits_2_before_any_solver_run(tmp_path, capsys, stage, key, value,
                                                     named, command):
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})

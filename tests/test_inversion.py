@@ -278,7 +278,7 @@ def nelder_mead_map(surrogate, meas, n_starts, seed):
         return 1.0 - np.abs(1.0 - np.mod(z, 2.0))
 
     def ls_at(z):
-        return least_squares(surrogate, meas, lo + fold(z) * width, warn_outside=False)
+        return least_squares(surrogate, meas, lo + fold(z) * width)
 
     scale = 1e3 * (1.0 + ls_at(np.full(len(lo), 0.5)))
 
@@ -292,7 +292,7 @@ def nelder_mead_map(surrogate, meas, n_starts, seed):
                        options={"xatol": 1e-6, "fatol": np.inf, "maxiter": 500,
                                 "maxfev": 2000})
         v = lo + fold(res.x) * width
-        ls = least_squares(surrogate, meas, v, warn_outside=False)
+        ls = least_squares(surrogate, meas, v)
         if best is None or ls < best[1]:
             best = (v, ls)
     return best
@@ -431,19 +431,18 @@ def inert_dimension_case():
 def assert_starts_match_the_one_start_search(surrogate, meas, x0, tol, res):
     """Each start of the lockstep search ends bit for bit where it ends searched alone.
 
-    The one-start search of ``tests/trf_reference.py`` runs on the closures
-    find_map used before the lockstep search: single-point ``evaluate`` and
-    ``jacobian``.
+    The one-start search of ``tests/trf_reference.py`` runs on one-point
+    closures: ``evaluate`` and the Jacobian of ``derivatives``.
     """
     box = surrogate.grid.space.uniform_box()
     lo, width = box[0], box[1] - box[0]
     ids = list(meas.location_ids)
 
     def fun(z):
-        return surrogate.evaluate(lo + z * width, warn_outside=False)[ids] - meas.values
+        return surrogate.evaluate(lo + z * width)[ids] - meas.values
 
     def jac(z):
-        return surrogate.jacobian(lo + z * width)[ids] * width
+        return surrogate.derivatives(lo + z * width)[1][ids] * width
 
     for k, z in enumerate(x0):
         ref = reference_trf_unit_box(fun, jac, z, tol)
@@ -478,7 +477,7 @@ def test_a_start_that_spends_its_budget_matches_the_one_start_search(monkeypatch
 @pytest.mark.parametrize("n_measured", [9, 129], ids=["9_of_129", "all_outputs"])
 def test_map_residual_and_jacobian_rows_keep_the_single_point_bits(monkeypatch, n_measured):
     # one gemm over a batch would round a point's row otherwise: the search sees
-    # the residuals and Jacobians of single-point evaluate and jacobian calls
+    # the residuals and Jacobians of one-point evaluate and derivatives calls
     space = ParameterSpace.from_pairs(BEAM_BOUNDS)
     sur = Surrogate.from_model(build_sparse_grid(space, generate_index_set("sum", 2, 3)),
                                beam_proxy)
@@ -494,7 +493,7 @@ def test_map_residual_and_jacobian_rows_keep_the_single_point_bits(monkeypatch, 
         for i, row_jac in zip(rows, jac(rows)):
             v = lo + z[i] * width
             assert np.array_equal(values[i], sur.evaluate(v)[ids] - meas.values)
-            assert np.array_equal(row_jac, sur.jacobian(v)[ids] * width)
+            assert np.array_equal(row_jac, sur.derivatives(v)[1][ids] * width)
 
 
 def test_sigma_map_arithmetic():

@@ -309,7 +309,7 @@ def test_modal_evaluation_matches_combination_reference(space, kind, w):
     sur = Surrogate.from_model(grid, lambda p: model(np.vstack([p, grid.points]))[:len(p)])
     v = sample_space(space, 300, 21)
     with np.errstate(all="raise"):
-        got = sur.evaluate(v, warn_outside=False)
+        got = sur.evaluate(v)
     ref = combination_reference(sur, v)
     assert np.all(np.abs(got - ref).max(axis=0) <= 1e-12 * np.abs(ref).max(axis=0))
 
@@ -425,6 +425,18 @@ def test_evaluation_blocks_match_single_points():
     assert np.allclose(batch[::50], single, rtol=1e-14, atol=1e-14)
 
 
+def test_one_point_is_evaluated_as_a_batch_of_one():
+    space = ParameterSpace.from_pairs([("a", Uniform(1.0, 3.0)), ("b", Gaussian(0.0, 2.0)),
+                                       ("c", Uniform(-5.0, 0.0)), ("d", Gaussian(10.0, 0.5))])
+    grid = build_sparse_grid(space, generate_index_set("sum", 4, 3))
+    sur = Surrogate.from_model(
+        grid, lambda p: np.column_stack([np.exp(0.3 * p[:, 0]) * np.sin(p[:, 1]),
+                                         p[:, 2] * p[:, 3] ** 2 + p[:, 1]]
+                                        + [np.cos(k * p[:, 0] + p[:, 3]) for k in range(20)]))
+    for v in sample_space(space, 40, 17):
+        assert np.array_equal(sur.evaluate(v), sur.evaluate(v[None])[0])
+
+
 def test_derivatives_of_a_polynomial_are_exact():
     space = ParameterSpace.from_pairs([("t", Gaussian(1.0, 0.5)), ("x", Uniform(-2.0, 3.0))])
     grid = build_sparse_grid(space, generate_index_set("max", 2, 2))
@@ -446,18 +458,24 @@ def test_derivatives_reject_a_point_of_the_wrong_dimension():
         message = f"points have dimension {len(v)}, expected 2"
         with pytest.raises(ValueError, match=message):
             sur.evaluate(np.array(v))
-        for method in (sur.jacobian, sur.derivatives):
+        for method in (lambda v: sur.terms(v, 1), sur.derivatives):
             with pytest.raises(ValueError, match=message):
                 method(np.array(v))
     with pytest.raises(ValueError, match="one point"):
         sur.derivatives(np.array([[1300.0, -2.0]]))
     for v in ([[[1300.0, -2.0]]], 1300.0):
         with pytest.raises(ValueError, match="one point"):
-            sur.jacobian(np.array(v))
+            sur.terms(np.array(v), 1)
+
+
+def terms_jacobians(sur, v):
+    """(Q, P, N) Jacobians read off ``terms(v, 1)`` at one point (Q = 1) or a batch."""
+    term = sur.terms(v, 1)
+    return np.stack([term(e) for e in np.eye(sur.grid.space.n_dims, dtype=int)], axis=-1)
 
 
 def test_first_order_derivatives_match_second_order_ones():
-    # jacobian stops before the Hessians and the value; its bits must not change
+    # first-order terms stop before the Hessians; the Jacobian's bits must not change
     space = ParameterSpace.from_pairs([("a", Uniform(1.0, 3.0)), ("b", Gaussian(0.0, 2.0)),
                                        ("c", Uniform(10.0, 20.0)), ("d", Uniform(0.0, 0.5))])
     grid = build_sparse_grid(space, generate_index_set("sum", 4, 3))
@@ -467,8 +485,8 @@ def test_first_order_derivatives_match_second_order_ones():
     rng = np.random.default_rng(31)
     points = np.column_stack([rng.uniform(1.0, 3.0, 5), rng.normal(0.0, 2.0, 5),
                               rng.uniform(10.0, 20.0, 5), rng.uniform(0.0, 0.5, 5)])
-    for v in points:
-        assert np.array_equal(sur.jacobian(v), sur.derivatives(v)[1])
+    for v, jac in zip(points, terms_jacobians(sur, points)):
+        assert np.array_equal(jac, sur.derivatives(v)[1])
 
 
 def test_a_jacobian_batch_keeps_each_points_bits():
@@ -483,10 +501,10 @@ def test_a_jacobian_batch_keeps_each_points_bits():
     points = np.column_stack([rng.uniform(1.0, 3.0, 16), rng.normal(0.0, 2.0, 16),
                               rng.uniform(10.0, 20.0, 16)])
     for q in (1, 2, 16):
-        batch = sur.jacobian(points[:q])
+        batch = terms_jacobians(sur, points[:q])
         assert batch.shape == (q, 42, 3)
         for v, jac in zip(points, batch):
-            assert np.array_equal(jac, sur.jacobian(v))
+            assert np.array_equal(jac, terms_jacobians(sur, v)[0])
             assert np.array_equal(jac, sur.derivatives(v)[1])
 
 
@@ -516,8 +534,8 @@ def basis_tables_loop(dists, X, degree, derivatives=0):
 @pytest.mark.parametrize("derivatives", [0, 1, 2])
 @pytest.mark.parametrize("degree", range(1, 10))
 def test_basis_tables_equal_the_loop_recurrence(degree, derivatives):
-    # the per-dimension kernel, on a column and on one Python float, has the
-    # oracle's bits for every marginal, degree and derivative order
+    # the per-dimension kernel has the oracle's bits for every marginal, degree
+    # and derivative order
     dists = [Uniform(1130.0, 1450.0), Gaussian(10.0, 2.0), Uniform(-5.0, 0.0),
              Gaussian(0.0, 1.0)]
     rng = np.random.default_rng(degree)
@@ -527,10 +545,6 @@ def test_basis_tables_equal_the_loop_recurrence(degree, derivatives):
     for n, dist in enumerate(dists):
         recurrence = _recurrence(dist, degree)
         assert np.array_equal(_basis(X[:, n], recurrence, derivatives), oracle[:, :, n])
-        for q in range(len(X)):
-            x = X[q, n].item()
-            assert type(x) is float
-            assert np.array_equal(_basis(x, recurrence, derivatives), oracle[:, q, n])
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +726,7 @@ def test_surrogate_json_with_the_only_point_of_a_degree_moved_loads_as_stored():
     data["points"][3][1] += 0.25
     sur = surrogate_from_json_dict(data)
     assert sur.grid.points.tolist() == data["points"]
-    assert np.allclose(sur.evaluate(np.array(data["points"]), warn_outside=False),
+    assert np.allclose(sur.evaluate(np.array(data["points"])),
                        np.array(data["values"]).T, rtol=1e-13, atol=1e-12)
 
 
@@ -732,7 +746,7 @@ def test_surrogate_json_from_version_0_1_loads_and_evaluates():
     sur = surrogate_from_json_dict(json.loads((data / "surrogate_v0.json").read_text()))
     expected = json.loads((data / "surrogate_v0_evaluations.json").read_text())
     ref = np.array(expected["values"])
-    got = sur.evaluate(np.array(expected["points"]), warn_outside=False)
+    got = sur.evaluate(np.array(expected["points"]))
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
     # read at its stored points, not at rebuilt knots up to 1.1e-11 away
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.abs(ref).max()
