@@ -19,6 +19,7 @@
 import numpy as np
 
 from sguq import (
+    BandComparison,
     ParameterSpace,
     PosteriorSpec,
     Surrogate,
@@ -72,10 +73,18 @@ print("two surrogates, 25 model runs each")
 
 # %% [markdown]
 # ## Propagate and compare
+#
+# `uncertainty_bands` samples one distribution, propagates the draws through
+# its surrogate and estimates every location's density.  Both calls use the
+# same seed, so the prior and the posterior band share one block of uniform
+# draws (common random numbers): their difference is the data's effect, with
+# less Monte Carlo noise than two independent streams would leave.
 
 # %%
-comparison = uncertainty_bands(PosteriorSpec.from_prior(prior_space), prior_surrogate,
-                               posterior, post_surrogate, n=10_000, seed=0)
+comparison = BandComparison(
+    prior=uncertainty_bands(PosteriorSpec.from_prior(prior_space), prior_surrogate,
+                            n=10_000, seed=0),
+    posterior=uncertainty_bands(posterior, post_surrogate, n=10_000, seed=0))
 prior_w = comparison.prior_widths()
 post_w = comparison.posterior_widths()
 print(f"median prior band width:     {np.median(prior_w):.3e}")

@@ -32,9 +32,8 @@ import numpy as np
 
 from . import __version__
 from .forward import (
-    KDE_GRID_SIZE, MIN_KDE_GRID, MIN_KDE_SAMPLES, BandComparison, estimate_densities,
-    propagate, sample_posterior, uncertainty_bands, write_bands_csv, write_densities_json,
-    write_json,
+    KDE_GRID_SIZE, MIN_KDE_GRID, MIN_KDE_SAMPLES, BandComparison, sample_posterior,
+    uncertainty_bands, write_bands_csv, write_densities_json, write_json,
 )
 from .indices import KINDS, generate_index_set
 from .inversion import (
@@ -42,7 +41,7 @@ from .inversion import (
     PosteriorSpec, build_posterior, find_map, inversion_report_json_dict, laplace_covariance,
     profile_likelihood, sigma_map, synthesize_data,
 )
-from .models import ExternalModel, ExternalModelError, register_builtin
+from .models import BUILTIN_NAMES, ExternalModel, ExternalModelError, register_builtin
 from .sobol import rank_parameters, sobol_indices, sobol_result_to_json_dict
 from .surrogate import (
     ParameterSpace, Surrogate, Uniform, _space_from_json, build_sparse_grid,
@@ -184,33 +183,53 @@ def _load_config(path: str, command: str) -> Config:
             raise ConfigError("inversion requires 'target' (synthetic data) or 'data_file'")
         elif noise is None:
             raise ConfigError("synthetic data requires 'noise_std'")
+        elif dims is not None:  # else it waits for the screening's keep list
+            _check_target(target, ParameterSpace(tuple(d for d in space.dims if d.name in dims)))
     return Config(raw, space, handle, stages,
                   {name: fixed.get(name, dist.center) for name, dist in dists.items()}, {})
 
 
+def _check_target(target, space: ParameterSpace):
+    """``inversion.target`` holds one value per dimension of ``space``, inside its box."""
+    lo, hi = space.uniform_box()
+    _require(len(target) == space.n_dims and np.all((lo <= target) & (target <= hi)),
+             "inversion.target", f"{space.n_dims} values, one per inverted dimension, between "
+             f"{lo.tolist()} and {hi.tolist()}", target)
+
+
 def _make_model(config: dict):
     spec = config.get("model")
-    if not isinstance(spec, dict):
-        raise ConfigError("config requires a 'model' object")
+    _require(isinstance(spec, dict), "config section 'model'", "an object", spec)
     if ("builtin" in spec) == ("command" in spec):
         raise ConfigError("model must specify one of 'builtin' and 'command'")
     if "builtin" in spec:
         _require_known(spec, ["builtin"], "builtin model key(s)")
-        try:
-            return register_builtin(spec["builtin"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        _require(spec["builtin"] in BUILTIN_NAMES, "model.builtin", f"one of {BUILTIN_NAMES}",
+                 spec["builtin"])
+        return register_builtin(spec["builtin"])
     _require_known(spec, ["command", "workdir", "inputs", "outputs", "timeout", "coordinates",
                           "name"], "external model key(s)")
-    timeout = spec.get("timeout", 3600.0)
+    command, timeout, coords = spec["command"], spec.get("timeout", 3600.0), spec.get("coordinates")
+    _require(isinstance(command, str) and command.strip() or isinstance(command, list) and command
+             and all(isinstance(c, str) for c in command), "model.command",
+             "a non-empty string or list of strings", command)
+    for key in ("workdir", "name"):
+        _require(isinstance(spec.get(key, ""), str), f"model.{key}", "a string", spec.get(key))
+    for key in ("inputs", "outputs"):
+        names = spec.get(key)
+        _require(isinstance(names, list) and names and all(isinstance(n, str) for n in names)
+                 and len(set(names)) == len(names), f"model.{key}",
+                 "a non-empty list of distinct strings", names)
     _require(_is_number(timeout) and timeout > 0, "model.timeout", "a number > 0", timeout)
+    _require(coords is None or isinstance(coords, list) and len(coords) == len(spec["outputs"])
+             and all(map(_is_number, coords)), "model.coordinates",
+             f"a list of {len(spec['outputs'])} numbers, one per output", coords)
     try:
-        return ExternalModel(
-            command=spec["command"], workdir=spec.get("workdir", "."),
-            input_names=spec["inputs"], output_names=spec["outputs"], timeout=timeout,
-            output_coordinates=spec.get("coordinates"), name=spec.get("name", "external"))
-    except KeyError as exc:
-        raise ConfigError(f"external model config missing {exc}") from exc
+        return ExternalModel(command, spec.get("workdir", "."), spec["inputs"], spec["outputs"],
+                             timeout=timeout, output_coordinates=coords,
+                             name=spec.get("name", "external"))
+    except ValueError as exc:  # a command string that shlex cannot split
+        raise ConfigError(f"model.command {command!r}: {exc}") from exc
 
 
 def _run_rows(config: Config, space: ParameterSpace, rows: np.ndarray):
@@ -414,13 +433,8 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     meas, target = opts["data_file"], opts["target"]
     rows = []
     if meas is None:
-        _require(len(target) == space.n_dims, "inversion.target",
-                 f"{space.n_dims} long, one value per inverted dimension", target)
-        target = np.asarray(target, dtype=float)
-        box = space.uniform_box()
-        if np.any(target < box[0]) or np.any(target > box[1]):
-            raise ConfigError("synthetic-data target lies outside the prior box")
-        rows.append(target[None, :])
+        _check_target(target, space)
+        rows.append(np.asarray(target, dtype=float)[None, :])
     n_data = len(rows)  # the synthetic data's row
     fixed = {name: v for name, v in config.fixed.items() if name not in space.names}
     _log(f"invert: building {opts['kind']} grid, w={opts['w']}, dims {list(space.names)}"
@@ -524,17 +538,15 @@ def run_forward(config: Config, out: Path, validate: bool = False,
 
     # every input file is read and checked before the first solver run; the saved
     # surrogate first, as it names the space an inversion on another prior ran on
-    if compare_prior:
+    if compare_prior or prior_only:
         prior_space = _reduced_space(config, out)
         prior_spec = PosteriorSpec.from_prior(prior_space)
+    if compare_prior:
         prior_file = out / "invert" / "surrogate.json"
         prior_surrogate = (_read_prior_surrogate(prior_file, prior_space, qoi_names)
                            if prior_file.exists() else None)
-    if prior_only:
-        posterior = PosteriorSpec.from_prior(_reduced_space(config, out))
-    else:
-        posterior_file = opts["posterior_file"] or str(out / "invert" / "posterior.json")
-        posterior = _read_posterior(posterior_file, config.space)
+    posterior = prior_spec if prior_only else _read_posterior(
+        opts["posterior_file"] or str(out / "invert" / "posterior.json"), config.space)
     # one model view serves both: the prior space has the posterior's names
     if compare_prior and prior_space.names != posterior.space.names:
         raise ConfigError("prior space dims do not match the posterior spec")
@@ -570,6 +582,9 @@ def run_forward(config: Config, out: Path, validate: bool = False,
                                      values[grid.n_points:top]))
         files["validation"] = "forward/validation.json"
 
+    # both bands take the same draw settings, so they share their uniform draws
+    draws = opts["n_samples"], opts["seed"], opts["kde_grid"]
+    post = prior = uncertainty_bands(posterior, surrogate, *draws)
     if compare_prior:
         if fresh_prior:
             prior_surrogate = Surrogate(prior_grid, values[top:], tuple(qoi_names))
@@ -578,18 +593,10 @@ def run_forward(config: Config, out: Path, validate: bool = False,
                  f"evaluations, {counts['reused_evaluations']} reused)")
         else:
             _log("forward: prior propagation reuses the inversion-stage surrogate")
-        comparison = uncertainty_bands(prior_spec, prior_surrogate, posterior,
-                                       surrogate, n=opts["n_samples"],
-                                       seed=opts["seed"], kde_grid_size=opts["kde_grid"])
-    else:
-        samples = sample_posterior(posterior, opts["n_samples"], opts["seed"])
-        values = propagate(surrogate, samples)
-        dens = estimate_densities(values, opts["kde_grid"])
-        comparison = BandComparison(prior=dens, posterior=dens)
+        prior = uncertainty_bands(prior_spec, prior_surrogate, *draws)
+    comparison = BandComparison(prior=prior, posterior=post)
 
-    coords = None
-    if getattr(handle, "output_coordinates", None) is not None:
-        coords = [float(handle.output_coordinates[i]) for i in qoi_ids]
+    coords = None if handle.output_coordinates is None else handle.output_coordinates[qoi_ids]
     write_bands_csv(stage_dir / "bands.csv", comparison, qoi_names, coords)
     files["bands"] = "forward/bands.csv"
     if densities:

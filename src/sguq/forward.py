@@ -6,8 +6,9 @@ pushed through a quantity-of-interest surrogate; each output location gets a
 Gaussian-kernel density estimate with Silverman bandwidth (linearly binned
 and convolved by FFT, after Silverman's Algorithm AS 176), a grid-based mode
 and empirical 5%/95% quantiles; every location's density is estimated in
-one batched pass.  Comparing the posterior band against the prior-based band
-quantifies the uncertainty reduction bought by the measurement data.
+one batched pass; uncertainty_bands chains the three steps.  Drawn from one
+seed, the posterior and prior-based bands share their uniform draws, and
+their difference is the uncertainty reduction bought by the measurement data.
 """
 
 from __future__ import annotations
@@ -286,24 +287,15 @@ class BandComparison:
         return np.array([d.band_width for d in self.posterior])
 
 
-def uncertainty_bands(prior_spec: PosteriorSpec, prior_surrogate: Surrogate,
-                      posterior_spec: PosteriorSpec, posterior_surrogate: Surrogate,
-                      n: int = 10000, seed: int = 0,
-                      kde_grid_size: int = KDE_GRID_SIZE) -> BandComparison:
-    """Propagate both parameter distributions and estimate every location's PDF.
-
-    The two sampling streams use child seeds spawned from ``seed`` so the
-    comparison is reproducible as a whole.
+def uncertainty_bands(spec: PosteriorSpec, surrogate: Surrogate, n: int = 10000, seed: int = 0,
+                      kde_grid_size: int = KDE_GRID_SIZE) -> list[DensityEstimate]:
+    """Every output's density under ``spec``: sample_posterior, propagate through
+    ``surrogate``, estimate_densities.  A band depends only on these arguments;
+    two distributions on the same dimensions given one seed share their uniform
+    draws (common random numbers), so their bands differ by less Monte Carlo noise.
     """
-    if prior_surrogate.n_outputs != posterior_surrogate.n_outputs:
-        raise ValueError("prior and posterior surrogates disagree on output count")
-    child_seeds = np.random.SeedSequence(seed).generate_state(2)
-    prior_samples = sample_posterior(prior_spec, n, int(child_seeds[0]))
-    post_samples = sample_posterior(posterior_spec, n, int(child_seeds[1]))
-    prior_out = propagate(prior_surrogate, prior_samples)
-    post_out = propagate(posterior_surrogate, post_samples)
-    return BandComparison(prior=estimate_densities(prior_out, kde_grid_size),
-                          posterior=estimate_densities(post_out, kde_grid_size))
+    return estimate_densities(propagate(surrogate, sample_posterior(spec, n, seed)),
+                              kde_grid_size)
 
 
 def write_bands_csv(path, comparison: BandComparison, location_ids,

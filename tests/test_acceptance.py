@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sguq.cli import main as cli_main
-from sguq.forward import estimate_density, uncertainty_bands
+from sguq.forward import BandComparison, estimate_density, uncertainty_bands
 from sguq.indices import combination_coefficients, generate_index_set
 from sguq.inversion import (
     PosteriorSpec,
@@ -272,8 +272,8 @@ def test_criterion_9_forward_uq(beam_space, beam_surrogate):
     post_grid = build_sparse_grid(posterior.space, generate_index_set("sum", 2, 3))
     post_sur = Surrogate.from_model(post_grid, beam_strains)
 
-    comparison = uncertainty_bands(prior_spec, prior_sur, posterior, post_sur,
-                                   n=10_000, seed=0)
+    comparison = BandComparison(prior=uncertainty_bands(prior_spec, prior_sur, n=10_000, seed=0),
+                                posterior=uncertainty_bands(posterior, post_sur, n=10_000, seed=0))
     narrower = comparison.posterior_widths() < comparison.prior_widths()
     assert narrower.mean() >= 0.95, f"narrower at {narrower.sum()}/120"
     target = beam_strains(VBAR[None])[0]

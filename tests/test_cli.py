@@ -968,6 +968,30 @@ def test_forward_builds_a_fresh_prior_surrogate_when_none_is_saved(tmp_path, cap
     assert forward["model_batches"] == 1
 
 
+def test_each_band_is_independent_of_compare_prior(tmp_path):
+    # inversion and forward grids are both sum w=3, so the saved inversion surrogate
+    # that --compare-prior propagates is the one --prior-only builds
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]}, forward={"n_samples": 2000})
+    path = write_config(tmp_path, cfg)
+    runs = {"plain": ["pipeline"], "compare": ["pipeline", "--compare-prior"],
+            "prior_only": ["forward", "--prior-only"]}
+    bands = {}
+    for name, argv in runs.items():
+        assert main(argv + ["--config", path, "--out", str(tmp_path / name)]) == 0, name
+        text = (tmp_path / name / "forward" / "bands.csv").read_text()
+        bands[name] = list(csv.DictReader(text.splitlines()))
+    stats = ("mode", "q05", "q95")
+    for name in ("plain", "compare", "prior_only"):
+        assert len(bands[name]) == 120, name
+    for plain, compare, prior in zip(bands["plain"], bands["compare"], bands["prior_only"]):
+        for s in stats:
+            # the strings are %.17g, so equal strings are equal bits
+            assert compare[f"post_{s}"] == plain[f"post_{s}"], (plain["location_id"], s)
+            assert compare[f"prior_{s}"] == prior[f"post_{s}"], (plain["location_id"], s)
+    # the comparison is not trivial: the data narrow the band
+    assert any(compare["post_q95"] != compare["prior_q95"] for compare in bands["compare"])
+
+
 DELETE = object()
 
 
@@ -1018,6 +1042,24 @@ DELETE = object()
     ("space", None, beam_config()["space"][:1]
      + [{"name": "log_h_g", "distribution": "gaussian", "mean": math.nan, "std": 1.0}]
      + beam_config()["space"][2:], "finite mean", "gsa"),
+    ("model", "command", 5, "model.command", "gsa"),
+    ("model", "command", [], "model.command", "gsa"),
+    ("model", "command", " ", "model.command", "gsa"),
+    ("model", "command", [sys.executable, 5], "model.command", "gsa"),
+    ("model", "command", "python 'x", "model.command", "gsa"),
+    ("model", "workdir", 5, "model.workdir", "gsa"),
+    ("model", "name", 5, "model.name", "gsa"),
+    ("model", "inputs", "ab", "model.inputs", "gsa"),
+    ("model", "inputs", ["T_A", "log_h_g", "log_h_p", "T_A"], "model.inputs", "gsa"),
+    ("model", "outputs", 5, "model.outputs", "gsa"),
+    ("model", "outputs", [], "model.outputs", "gsa"),
+    ("model", "outputs", ["u_1", "u_2", "u_1"], "model.outputs", "gsa"),
+    ("model", "coordinates", "x", "model.coordinates", "gsa"),
+    ("model", "coordinates", [0.5, 1.0], "model.coordinates", "gsa"),
+    ("model", "coordinates", [0.5, 1.0, math.nan], "model.coordinates", "gsa"),
+    # inversion.dims [T_A, log_h_p] fixes the target's dimensions before the screening runs
+    ("inversion", "target", [1339.8, -3.75, 0.0], "inversion.target", "invert"),
+    ("inversion", "target", [1000.0, -3.75], "inversion.target", "invert"),
 ], ids=["kde_grid_typo", "kde_grid_float", "unknown_qoi", "forward_not_object",
         "no_target_no_data", "missing_data_file", "n_starts_string", "gsa_w_string",
         "fixed_value_typo", "fixed_value_string", "fixed_value_outside_range",
@@ -1026,7 +1068,11 @@ DELETE = object()
         "dims_repeated", "dims_unknown", "dims_empty", "dims_id", "dims_nested_list",
         "gaussian_inverted_dim", "top_level_typo", "space_entry_extra_key", "model_extra_key",
         "model_builtin_and_command", "timeout_string", "timeout_negative",
-        "uniform_bound_infinite", "gaussian_mean_nan"])
+        "uniform_bound_infinite", "gaussian_mean_nan", "command_number", "command_empty_list",
+        "command_blank", "command_list_of_non_strings", "command_unbalanced_quote", "workdir_number", "name_number",
+        "inputs_string", "inputs_repeated", "outputs_number", "outputs_empty",
+        "outputs_repeated", "coordinates_string", "coordinates_too_few", "coordinates_nan",
+        "target_too_long", "target_outside_box"])
 def test_config_error_exits_2_before_any_solver_run(tmp_path, capsys, stage, key, value,
                                                     named, command):
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})

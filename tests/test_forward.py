@@ -423,9 +423,14 @@ def test_identical_specs_give_identical_bands_up_to_noise(beam_strain_surrogates
     prior_sur, _ = beam_strain_surrogates
     spec = spec_of([Uniform(1130, 1450), Uniform(-5, 0)], [[1130, -5], [1450, 0]],
                    names=("T_A", "log_h_p"))
-    cmp_ = uncertainty_bands(spec, prior_sur, spec, prior_sur, n=10_000, seed=10)
+    cmp_ = BandComparison(*(uncertainty_bands(spec, prior_sur, n=10_000, seed=10)
+                            for _ in range(2)))
     rel = np.abs(cmp_.posterior_widths() - cmp_.prior_widths()) / cmp_.prior_widths()
     assert np.max(rel) < 0.03
+    # one distribution, surrogate, n and seed: one band, bit for bit
+    for prior, post in zip(cmp_.prior, cmp_.posterior):
+        assert (prior.mode, prior.q05, prior.q95) == (post.mode, post.q05, post.q95)
+        assert np.array_equal(prior.density, post.density)
 
 
 def test_posterior_bands_narrower_and_target_covered(beam_strain_surrogates):
@@ -434,8 +439,8 @@ def test_posterior_bands_narrower_and_target_covered(beam_strain_surrogates):
                          [[1130, -5], [1450, 0]], names=("T_A", "log_h_p"))
     post_spec = spec_of([Gaussian(1341.0, 9.0), Uniform(-5.0, -1.4)],
                         [[1130, -5], [1450, 0]], names=("T_A", "log_h_p"))
-    cmp_ = uncertainty_bands(prior_spec, prior_sur, post_spec, post_sur,
-                             n=10_000, seed=11)
+    cmp_ = BandComparison(prior=uncertainty_bands(prior_spec, prior_sur, n=10_000, seed=11),
+                          posterior=uncertainty_bands(post_spec, post_sur, n=10_000, seed=11))
     narrower = cmp_.posterior_widths() < cmp_.prior_widths()
     assert narrower.mean() >= 0.95
     target = beam_proxy(np.array([[1339.8, -3.75]]))[0, 9:]
@@ -450,7 +455,8 @@ def test_bands_csv_layout(tmp_path, beam_strain_surrogates):
     prior_sur, _ = beam_strain_surrogates
     spec = spec_of([Uniform(1130, 1450), Uniform(-5, 0)], [[1130, -5], [1450, 0]],
                    names=("T_A", "log_h_p"))
-    d = uncertainty_bands(spec, prior_sur, spec, prior_sur, n=2000, seed=12)
+    band = uncertainty_bands(spec, prior_sur, n=2000, seed=12)
+    d = BandComparison(prior=band, posterior=band)
     path = tmp_path / "bands.csv"
     coords = np.linspace(0.5, 60.0, 120)
     write_bands_csv(path, d, [f"eps_{j}" for j in range(1, 121)], coords,
