@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -41,7 +40,7 @@ from .inversion import (
     PosteriorSpec, build_posterior, find_map, inversion_report_json_dict, laplace_covariance,
     profile_likelihood, sigma_map, synthesize_data,
 )
-from .models import BUILTIN_NAMES, ExternalModel, ExternalModelError, register_builtin
+from .models import ExternalModel, ExternalModelError, _is_number, register_builtin
 from .sobol import rank_parameters, sobol_indices, sobol_result_to_json_dict
 from .surrogate import (
     ParameterSpace, Surrogate, Uniform, _space_from_json, build_sparse_grid,
@@ -78,10 +77,6 @@ class ConfigError(ValueError):
 
 def _log(msg: str):
     print(f"sguq: {msg}", file=sys.stderr)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _require(ok: bool, key: str, rule: str, value):
@@ -204,32 +199,21 @@ def _make_model(config: dict):
         raise ConfigError("model must specify one of 'builtin' and 'command'")
     if "builtin" in spec:
         _require_known(spec, ["builtin"], "builtin model key(s)")
-        _require(spec["builtin"] in BUILTIN_NAMES, "model.builtin", f"one of {BUILTIN_NAMES}",
-                 spec["builtin"])
-        return register_builtin(spec["builtin"])
-    _require_known(spec, ["command", "workdir", "inputs", "outputs", "timeout", "coordinates",
-                          "name"], "external model key(s)")
-    command, timeout, coords = spec["command"], spec.get("timeout", 3600.0), spec.get("coordinates")
-    _require(isinstance(command, str) and command.strip() or isinstance(command, list) and command
-             and all(isinstance(c, str) for c in command), "model.command",
-             "a non-empty string or list of strings", command)
-    for key in ("workdir", "name"):
-        _require(isinstance(spec.get(key, ""), str), f"model.{key}", "a string", spec.get(key))
-    for key in ("inputs", "outputs"):
-        names = spec.get(key)
-        _require(isinstance(names, list) and names and all(isinstance(n, str) for n in names)
-                 and len(set(names)) == len(names), f"model.{key}",
-                 "a non-empty list of distinct strings", names)
-    _require(_is_number(timeout) and timeout > 0, "model.timeout", "a number > 0", timeout)
-    _require(coords is None or isinstance(coords, list) and len(coords) == len(spec["outputs"])
-             and all(map(_is_number, coords)), "model.coordinates",
-             f"a list of {len(spec['outputs'])} numbers, one per output", coords)
+    else:
+        _require_known(spec, ["command", "workdir", "inputs", "outputs", "timeout",
+                              "coordinates", "name"], "external model key(s)")
+        for key in ("workdir", "name"):
+            _require(isinstance(spec.get(key, ""), str), f"model.{key}", "a string", spec.get(key))
+    # each handle checks the values it takes; the message starts with their key under 'model'
     try:
-        return ExternalModel(command, spec.get("workdir", "."), spec["inputs"], spec["outputs"],
-                             timeout=timeout, output_coordinates=coords,
+        if "builtin" in spec:
+            return register_builtin(spec["builtin"])
+        return ExternalModel(spec["command"], spec.get("workdir", "."), spec.get("inputs"),
+                             spec.get("outputs"), timeout=spec.get("timeout", 3600.0),
+                             output_coordinates=spec.get("coordinates"),
                              name=spec.get("name", "external"))
-    except ValueError as exc:  # a command string that shlex cannot split
-        raise ConfigError(f"model.command {command!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"model.{exc}") from exc
 
 
 def _run_rows(config: Config, space: ParameterSpace, rows: np.ndarray):
@@ -279,7 +263,7 @@ def _counts(ran, n_data: int = 0) -> dict:
 def _output_ids(handle, names_or_ids, group: str, key: str):
     """Resolve the outputs configured under ``key``, defaulting to a labeled group if present."""
     if names_or_ids is None:
-        ids = getattr(handle, "output_groups", {}).get(group)
+        ids = handle.output_groups.get(group)
         return list(ids) if ids else list(range(handle.n_outputs))
     return _ids(handle.output_names, names_or_ids, key, "output")
 
@@ -495,12 +479,17 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
             "map_not_converged": map_result.n_not_converged, "files": files}
 
 
+def _read_inversion_file(path, what: str, parse):
+    """``_read_json_file`` of a file the inversion stage writes; a missing one is named."""
+    if not Path(path).exists():
+        raise ConfigError(f"{what} not found: {path} "
+                          "(run the inversion stage into this --out, or use --prior-only)")
+    return _read_json_file(path, what, parse)
+
+
 def _read_posterior(path: str, space: ParameterSpace) -> PosteriorSpec:
     """The posterior spec in ``path``, on dimensions of ``space`` and boxed by their ranges."""
-    if not Path(path).exists():
-        raise ConfigError(f"posterior spec not found: {path} "
-                          "(run the inversion stage or pass --prior-only)")
-    posterior = _read_json_file(path, "posterior spec", PosteriorSpec.from_json_dict)
+    posterior = _read_inversion_file(path, "posterior spec", PosteriorSpec.from_json_dict)
     names = posterior.space.names
     _require(set(names) <= set(space.names), f"the names of {path}",
              f"dimensions in {list(space.names)}", list(names))
@@ -522,7 +511,7 @@ def _read_prior_surrogate(path: Path, space: ParameterSpace, names) -> Surrogate
             raise ConfigError(f"prior surrogate {path} is built on another parameter space")
         return surrogate
 
-    return _read_json_file(path, "prior surrogate", parse)
+    return _read_inversion_file(path, "prior surrogate", parse)
 
 
 def run_forward(config: Config, out: Path, validate: bool = False,
@@ -537,17 +526,16 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     stage_dir.mkdir(parents=True, exist_ok=True)
 
     # every input file is read and checked before the first solver run; the saved
-    # surrogate first, as it names the space an inversion on another prior ran on
+    # surrogate first, as it names the space an inversion on another prior ran on.
+    # The prior band propagates that surrogate, so it costs no solver run
     if compare_prior or prior_only:
         prior_space = _reduced_space(config, out)
         prior_spec = PosteriorSpec.from_prior(prior_space)
     if compare_prior:
-        prior_file = out / "invert" / "surrogate.json"
-        prior_surrogate = (_read_prior_surrogate(prior_file, prior_space, qoi_names)
-                           if prior_file.exists() else None)
+        prior_surrogate = _read_prior_surrogate(out / "invert" / "surrogate.json", prior_space,
+                                                qoi_names)
     posterior = prior_spec if prior_only else _read_posterior(
         opts["posterior_file"] or str(out / "invert" / "posterior.json"), config.space)
-    # one model view serves both: the prior space has the posterior's names
     if compare_prior and prior_space.names != posterior.space.names:
         raise ConfigError("prior space dims do not match the posterior spec")
 
@@ -562,14 +550,9 @@ def run_forward(config: Config, out: Path, validate: bool = False,
         val_samples = sample_posterior(posterior, opts["validation_samples"],
                                        opts["validation_seed"])
         rows.append(val_samples)
-    fresh_prior = compare_prior and prior_surrogate is None
-    if fresh_prior:
-        prior_grid = _stage_grid(prior_space, opts["kind"], opts["w"])
-        rows.append(prior_grid.points)
-    # one solver batch: the grid, the validation samples, a fresh prior surrogate's grid
+    # one solver batch: the grid and the validation samples
     values, ran = _run_rows(config, posterior.space, np.vstack(rows))
     values = values[:, qoi_ids]
-    top = grid.n_points + (len(val_samples) if validate else 0)
     surrogate = Surrogate(grid, values[:grid.n_points], tuple(qoi_names))
     counts = _counts(ran[:grid.n_points])
     _log(f"forward: {grid.n_points} grid points, {counts['model_evaluations']} model evaluations, "
@@ -577,22 +560,14 @@ def run_forward(config: Config, out: Path, validate: bool = False,
 
     files = {}
     if validate:
-        write_json(stage_dir / "validation.json",
-                   _validation_table(surrogate, range(surrogate.n_outputs), val_samples,
-                                     values[grid.n_points:top]))
+        write_json(stage_dir / "validation.json", _validation_table(
+            surrogate, range(surrogate.n_outputs), val_samples, values[grid.n_points:]))
         files["validation"] = "forward/validation.json"
 
     # both bands take the same draw settings, so they share their uniform draws
     draws = opts["n_samples"], opts["seed"], opts["kde_grid"]
     post = prior = uncertainty_bands(posterior, surrogate, *draws)
     if compare_prior:
-        if fresh_prior:
-            prior_surrogate = Surrogate(prior_grid, values[top:], tuple(qoi_names))
-            counts = _counts(ran[top:])
-            _log(f"forward: built a fresh prior surrogate (+{counts['model_evaluations']} "
-                 f"evaluations, {counts['reused_evaluations']} reused)")
-        else:
-            _log("forward: prior propagation reuses the inversion-stage surrogate")
         prior = uncertainty_bands(prior_spec, prior_surrogate, *draws)
     comparison = BandComparison(prior=prior, posterior=post)
 

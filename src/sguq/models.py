@@ -38,6 +38,15 @@ class ExternalModelError(RuntimeError):
     """The external solver failed: nonzero exit, timeout or bad response."""
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check(ok: bool, key: str, rule: str, value):
+    if not ok:
+        raise ValueError(f"{key} must be {rule}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Ishigami test function: three uniform inputs on [-pi, pi], one output.
 # f(v) = sin v1 + a sin^2 v2 + b v3^4 sin v1  with a = 7, b = 0.1.
@@ -183,16 +192,15 @@ BUILTIN_NAMES = ("ishigami", "beam_proxy", "quadratic_test")
 
 
 def register_builtin(name: str) -> BuiltinModel:
-    """Handle for a named built-in model."""
+    """Handle for a named built-in model; another name raises ValueError."""
+    _check(name in BUILTIN_NAMES, "builtin", f"one of {BUILTIN_NAMES}", name)
     if name == "ishigami":
         return BuiltinModel(name="ishigami", input_names=("v1", "v2", "v3"),
                             output_names=("f",), fn=ishigami)
     if name == "beam_proxy":
         return _make_beam_handle()
-    if name == "quadratic_test":
-        return BuiltinModel(name="quadratic_test", input_names=("v1", "v2"),
-                            output_names=("f",), fn=quadratic_test)
-    raise ValueError(f"unknown builtin model {name!r}; available: {BUILTIN_NAMES}")
+    return BuiltinModel(name="quadratic_test", input_names=("v1", "v2"),
+                        output_names=("f",), fn=quadratic_test)
 
 
 class ExternalModel:
@@ -201,17 +209,33 @@ class ExternalModel:
     Request ``params.csv``: header row of input names, one row per sample
     with 17 significant digits.  Response ``qoi.csv``: header row of output
     names, one row per input row, same order.  The command must exit 0.
+
+    A bad argument raises ValueError led by the argument's key in a config's ``model``.
     """
 
     def __init__(self, command, workdir, input_names, output_names,
                  timeout: float = 3600.0, output_coordinates=None, name: str = "external"):
-        self.command = shlex.split(command) if isinstance(command, str) else list(command)
+        try:
+            split = shlex.split(command) if isinstance(command, str) else command
+        except ValueError as exc:
+            raise ValueError(f"command {command!r} cannot be split: {exc}") from None
+        _check(isinstance(split, (list, tuple)) and split and all(isinstance(c, str) for c in split),
+               "command", "a non-empty string or list of strings", command)
+        for key, names in (("inputs", input_names), ("outputs", output_names)):
+            _check(isinstance(names, (list, tuple)) and names
+                   and all(isinstance(n, str) for n in names) and len(set(names)) == len(names),
+                   key, "a non-empty list of distinct strings", names)
+        _check(_is_number(timeout) and timeout > 0, "timeout", "a number > 0", timeout)
+        coords = output_coordinates
+        _check(coords is None or isinstance(coords, (list, tuple, np.ndarray))
+               and len(coords) == len(output_names) and all(map(_is_number, coords)),
+               "coordinates", f"a list of {len(output_names)} numbers, one per output", coords)
+        self.command = list(split)
         self.workdir = Path(workdir)
         self.input_names = tuple(input_names)
         self.output_names = tuple(output_names)
         self.timeout = float(timeout)
-        self.output_coordinates = (None if output_coordinates is None
-                                   else np.asarray(output_coordinates, dtype=float))
+        self.output_coordinates = None if coords is None else np.asarray(coords, dtype=float)
         self.name = name
         self.output_groups = {}
         self._lock = threading.Lock()

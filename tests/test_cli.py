@@ -144,8 +144,7 @@ def test_pathological_posterior_exits_4_before_any_solver_run(tmp_path, capsys):
     (out / "invert" / "posterior.json").write_text(json.dumps(PATHOLOGICAL_POSTERIOR))
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
     cfg["model"] = failing_model(tmp_path)
-    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(out),
-                 "--compare-prior"]) == 4
+    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 4
     assert "holds no probability" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
@@ -734,21 +733,18 @@ def test_external_pipeline_launches_the_solver_once_per_stage(tmp_path):
     assert sum(launches(log)) == sum(m["model_evaluations"] + m.get("data_evaluations", 0)
                                      for m in stages.values())
 
-    # without the inversion's surrogate the prior and posterior grids share one launch
+    # the prior band comes only from the inversion's surrogate: without it, no launch
     (out / "invert" / "surrogate.json").unlink()
     log.unlink()
     assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(out),
-                 "--compare-prior"]) == 0
-    forward = read_manifest(out)["stages"]["forward"]
-    assert len(launches(log)) == forward["model_batches"] == 1
-    assert launches(log) == [forward["model_evaluations"]]
-    assert forward["model_evaluations"] > 25
+                 "--compare-prior"]) == 2
+    assert launches(log) == []
 
 
 @pytest.mark.parametrize("argv, target, posterior, code", [
     (["invert"], [2000.0, -2.5], None, 2),
     (["invert"], [1300.0], None, 2),
-    (["forward", "--compare-prior"], None, PATHOLOGICAL_POSTERIOR, 4),
+    (["forward"], None, PATHOLOGICAL_POSTERIOR, 4),
 ])
 def test_stage_errors_come_before_its_solver_launch(tmp_path, argv, target, posterior, code):
     model, log = logging_solver(tmp_path)
@@ -928,8 +924,10 @@ def test_bad_forward_input_file_exits_2_before_any_solver_run(tmp_path, capsys, 
         path.write_text(content if isinstance(content, str) else json.dumps(content))
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
     cfg["model"] = failing_model(tmp_path)
+    # --compare-prior reads the saved surrogate, so only the cases that write one pass it
+    compare = [] if surrogate is None else ["--compare-prior"]
     assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(out),
-                 "--compare-prior"]) == 2
+                 *compare]) == 2
     assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
@@ -949,23 +947,30 @@ def test_saved_prior_surrogate_of_another_space_exits_2_before_any_solver_run(tm
     assert not (tmp_path / "w").exists()
 
 
-def test_forward_builds_a_fresh_prior_surrogate_when_none_is_saved(tmp_path, capsys):
-    # the second run's out dir has no invert/surrogate.json to reuse for the prior bands
-    first, second = tmp_path / "r1", tmp_path / "r2"
-    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]},
-                      forward={"posterior_file": str(first / "invert" / "posterior.json")})
+def test_prior_band_comes_only_from_the_saved_inversion_surrogate(tmp_path, capsys):
+    # the inversion and forward grids differ in level, so a prior band from any other
+    # surrogate than the inversion's would differ
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"], "w": 2},
+                      forward={"w": 3, "n_samples": 2000})
     path = write_config(tmp_path, cfg)
-    assert main(["pipeline", "--config", path, "--out", str(first), "--compare-prior"]) == 0
-    capsys.readouterr()
-    assert main(["forward", "--config", path, "--out", str(second), "--compare-prior"]) == 0
-    assert "built a fresh prior surrogate (+25 evaluations, 0 reused)" in capsys.readouterr().err
-    assert not (second / "invert").exists()
-    bands = [(out / "forward" / "bands.csv").read_bytes() for out in (first, second)]
+    whole, split = tmp_path / "whole", tmp_path / "split"
+    assert main(["pipeline", "--config", path, "--out", str(whole), "--compare-prior"]) == 0
+    assert main(["invert", "--config", path, "--out", str(split)]) == 0
+    assert main(["forward", "--config", path, "--out", str(split), "--compare-prior"]) == 0
+    bands = [(out / "forward" / "bands.csv").read_bytes() for out in (whole, split)]
     assert bands[0] == bands[1]
-    assert read_manifest(first)["stages"]["forward"]["model_evaluations"] == 25
-    forward = read_manifest(second)["stages"]["forward"]
-    assert (forward["model_evaluations"], forward["reused_evaluations"]) == (50, 0)
-    assert forward["model_batches"] == 1
+
+    # a posterior from elsewhere does not bring its surrogate along
+    model, log = logging_solver(tmp_path)
+    cfg["model"] = model
+    cfg["forward"]["posterior_file"] = str(whole / "invert" / "posterior.json")
+    fresh = tmp_path / "fresh"
+    capsys.readouterr()
+    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(fresh),
+                 "--compare-prior"]) == 2
+    err = capsys.readouterr().err
+    assert str(fresh / "invert" / "surrogate.json") in err and "--prior-only" in err
+    assert launches(log) == []
 
 
 def test_each_band_is_independent_of_compare_prior(tmp_path):

@@ -203,3 +203,34 @@ with open(sys.argv[2], "w") as fh:
                         input_names=("T_A", "log_h_p"), output_names=("u_1",))
     with pytest.raises(ExternalModelError, match="unexpected output header"):
         ext.evaluate(np.array([[1300.0, -2.0]]))
+
+
+def test_external_model_with_no_valid_argument_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="^command must be"):
+        ExternalModel(command=[], workdir=tmp_path, input_names="ab", output_names=["y", "y"],
+                      output_coordinates=[1.0, 2.0, 3.0], timeout=-1)
+
+
+VALID_EXTERNAL = {"command": [sys.executable, "-c", "pass"], "input_names": ["a", "b"],
+                  "output_names": ["y", "z"], "output_coordinates": [1.0, 2.0], "timeout": 1.0}
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("command", [], "command"),
+    ("command", " ", "command"),
+    ("command", "python 'x", "command"),
+    ("command", [sys.executable, 5], "command"),
+    ("input_names", "ab", "inputs"),
+    ("input_names", ["a", "a"], "inputs"),
+    ("output_names", ["y", "y"], "outputs"),
+    ("output_names", [], "outputs"),
+    ("output_coordinates", [1.0, 2.0, 3.0], "coordinates"),
+    ("output_coordinates", [1.0, np.inf], "coordinates"),
+    ("timeout", -1, "timeout"),
+    ("timeout", "60", "timeout"),
+])
+def test_external_model_names_its_bad_argument(tmp_path, key, value, named):
+    # the message starts with the argument's key in a config's model section
+    assert ExternalModel(workdir=tmp_path, **VALID_EXTERNAL).output_coordinates.tolist() == [1, 2]
+    with pytest.raises(ValueError, match=f"^{named} "):
+        ExternalModel(workdir=tmp_path, **{**VALID_EXTERNAL, key: value})
