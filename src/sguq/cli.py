@@ -1,7 +1,8 @@
 """Workflow driver: screening, inversion and forward propagation subcommands.
 
 Usage:
-    sguq gsa|invert --config <file> [--out <dir>] [--validate]
+    sguq gsa --config <file> [--out <dir>]
+    sguq invert --config <file> [--out <dir>] [--validate]
     sguq pipeline --config <file> [--out <dir>] [--validate] [--compare-prior] [--densities]
     sguq forward --config <file> [--out <dir>] [--validate] [--compare-prior] [--densities]
                  [--prior-only]
@@ -12,8 +13,9 @@ the same config is byte-identical (set SOURCE_DATE_EPOCH to pin the manifest
 timestamp as well).  Stages communicate through files only: the screening
 stage writes a keep/drop recommendation, the inversion stage writes the
 posterior spec and its full-output surrogate, the forward stage consumes
-both.  Exit codes: 0 success, 2 config error, 3 model/protocol error,
-4 numerical failure.
+both.  A stage directory is made with its first file, so a command that
+fails before then leaves none.  Exit codes: 0 success, 2 config error,
+3 model/protocol error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -168,6 +170,8 @@ def _load_config(path: str, command: str) -> Config:
             _require(dist.a <= value <= dist.b, f"inversion.fixed_values.{name}",
                      f"in [{dist.a}, {dist.b}]", value)
 
+    _require(command != "pipeline" or fwd["posterior_file"] is None, "forward.posterior_file",
+             "unset in a pipeline, which propagates its own posterior", fwd["posterior_file"])
     # the screening stage may run before the measurements exist
     if command in ("invert", "pipeline"):
         _require(dims is None or all(isinstance(dists[d], Uniform) for d in dims),
@@ -316,11 +320,6 @@ def _read_data_file(path: str, handle) -> Measurements:
     return _read_json_file(path, "inversion.data_file", parse)
 
 
-def _stage_grid(space, kind, w):
-    """The sparse grid of a ``kind`` index set of level ``w`` on ``space``."""
-    return build_sparse_grid(space, generate_index_set(kind, space.n_dims, w))
-
-
 def _validation_table(surrogate: Surrogate, outputs, samples, reference) -> dict:
     """Validation errors of the columns ``outputs`` at every level budget w = 0..top.
 
@@ -356,25 +355,50 @@ def _config_hash(config: dict) -> str:
     return "sha256:" + hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _run_file(out: Path, files: dict, key: str, name: str) -> Path:
+    """The path of run file ``name`` under ``out``, recorded as ``files[key]``; its directory
+    is made here, so a command that fails before its first write leaves none."""
+    files[key] = name
+    (out / name).parent.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
+def _stage_surrogate(config: Config, stage: str, space: ParameterSpace, outputs,
+                     lead=None, validation=None):
+    """The surrogate of the columns ``outputs`` (ids or a slice) on the ``stage`` grid.
+
+    One solver batch runs the ``lead`` rows, the grid on ``space`` and, given a
+    distribution ``validation``, the stage's validation draws from it.  Returns the
+    surrogate, the batch's outputs, the draws (or None) and ``ran`` (see ``_run_rows``).
+    """
+    opts = config.stages[stage]
+    fixed = {name: v for name, v in config.fixed.items() if name not in space.names}
+    _log(f"{stage}: building {opts['kind']} grid, w={opts['w']}, dims {list(space.names)}"
+         + (f", fixed {fixed}" if fixed else ""))
+    grid = build_sparse_grid(space, generate_index_set(opts["kind"], space.n_dims, opts["w"]))
+    draws = None if validation is None else sample_posterior(
+        validation, opts["validation_samples"], opts["validation_seed"])
+    values, ran = _run_rows(config, space, np.vstack(
+        [rows for rows in (lead, grid.points, draws) if rows is not None]))
+    n_lead = 0 if lead is None else len(lead)
+    top = n_lead + grid.n_points
+    surrogate = Surrogate(grid, values[:, outputs][n_lead:top],
+                          tuple(np.array(config.handle.output_names, dtype=object)[outputs]))
+    counts = _counts(ran[:top], n_lead)
+    _log(f"{stage}: {grid.n_points} grid points, {counts['model_evaluations']} model "
+         f"evaluations, {counts['reused_evaluations']} reused")
+    return surrogate, values, draws, ran
+
+
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
 
 def run_gsa(config: Config, out: Path) -> dict:
-    opts, space, handle = config.stages["gsa"], config.space, config.handle
+    opts, space = config.stages["gsa"], config.space
     if {"n_samples", "seed"} & set(config.raw.get("gsa", {})):
         _log("gsa: n_samples and seed are unused; the Sobol indices are exact")
-    stage_dir = out / "gsa"
-    stage_dir.mkdir(parents=True, exist_ok=True)
-
-    _log(f"gsa: building {opts['kind']} grid, w={opts['w']}, {space.n_dims} dims")
-    grid = _stage_grid(space, opts["kind"], opts["w"])
-    values, ran = _run_rows(config, space, grid.points)
-    surrogate = Surrogate(grid, values, handle.output_names)
-    counts = _counts(ran)
-    _log(f"gsa: {grid.n_points} grid points, {counts['model_evaluations']} model evaluations, "
-         f"{counts['reused_evaluations']} reused")
-
+    surrogate, _, _, ran = _stage_surrogate(config, "gsa", space, slice(None))
     result = sobol_indices(surrogate)
     ranking = rank_parameters(result, opts["threshold"], outputs=opts["outputs"])
     if not ranking["keep"]:
@@ -383,11 +407,12 @@ def run_gsa(config: Config, out: Path) -> dict:
                          f"{result.total[opts['outputs']].max():.3g}")
     data = sobol_result_to_json_dict(result, opts["threshold"], ranking)
     data.update(sample_size=opts["n_samples"], seed=opts["seed"])
-    write_json(stage_dir / "sobol.json", data)
+    files = {}
+    write_json(_run_file(out, files, "sobol", "gsa/sobol.json"), data)
     keep_names = [space.names[i] for i in ranking["keep"]]
     drop_names = [space.names[i] for i in ranking["drop"]]
     _log(f"gsa: keep {keep_names}, drop {drop_names}")
-    return {**counts, "grid_points": grid.n_points, "files": {"sobol": "gsa/sobol.json"}}
+    return {**_counts(ran), "grid_points": surrogate.grid.n_points, "files": files}
 
 
 def _reduced_space(config: Config, out: Path) -> ParameterSpace:
@@ -411,52 +436,34 @@ def _reduced_space(config: Config, out: Path) -> ParameterSpace:
 
 
 def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
-    opts, handle = config.stages["inversion"], config.handle
+    opts = config.stages["inversion"]
     space = _reduced_space(config, out)
     _require(space.is_all_uniform(), "the inverted dimensions", "uniform", list(space.names))
-    meas, target = opts["data_file"], opts["target"]
-    rows = []
-    if meas is None:
+    meas, target, lead = opts["data_file"], opts["target"], None
+    if meas is None:  # the synthetic data's row leads the batch
         _check_target(target, space)
-        rows.append(np.asarray(target, dtype=float)[None, :])
-    n_data = len(rows)  # the synthetic data's row
-    fixed = {name: v for name, v in config.fixed.items() if name not in space.names}
-    _log(f"invert: building {opts['kind']} grid, w={opts['w']}, dims {list(space.names)}"
-         + (f", fixed {fixed}" if fixed else ""))
-    grid = _stage_grid(space, opts["kind"], opts["w"])
-    rows.append(grid.points)
-    top = n_data + grid.n_points
-    if validate:
-        samples = sample_posterior(PosteriorSpec.from_prior(space), opts["validation_samples"],
-                                   opts["validation_seed"])
-        rows.append(samples)
-    # one solver batch: the data target, the grid, the validation samples
-    values, ran = _run_rows(config, space, np.vstack(rows))
+        lead = np.asarray(target, dtype=float)[None, :]
+    n_data = 0 if lead is None else 1
+    surrogate, values, samples, ran = _stage_surrogate(
+        config, "inversion", space, slice(None), lead,
+        PosteriorSpec.from_prior(space) if validate else None)
     if meas is None:
         meas = synthesize_data(lambda _: values[:1], target, opts["measurement_outputs"],
                                opts["noise_std"], opts["seed"])
-    stage_dir = out / "invert"
-    stage_dir.mkdir(parents=True, exist_ok=True)
-
-    surrogate = Surrogate(grid, values[n_data:top], handle.output_names)
-    write_json(stage_dir / "surrogate.json", surrogate_to_json_dict(surrogate))
-    counts = _counts(ran[:top], n_data)
-    _log(f"invert: {grid.n_points} grid points, {counts['model_evaluations']} model evaluations, "
-         f"{counts['reused_evaluations']} reused")
-    write_json(stage_dir / "measurements.json", meas.to_json_dict())
-
-    files = {"surrogate": "invert/surrogate.json",
-             "measurements": "invert/measurements.json"}
+    files = {}
+    write_json(_run_file(out, files, "surrogate", "invert/surrogate.json"),
+               surrogate_to_json_dict(surrogate))
+    write_json(_run_file(out, files, "measurements", "invert/measurements.json"),
+               meas.to_json_dict())
     if validate:
         ids = list(meas.location_ids)
-        write_json(stage_dir / "validation.json",
-                   _validation_table(surrogate, ids, samples, values[top:][:, ids]))
-        files["validation"] = "invert/validation.json"
-        _log(f"invert: validation at w=0..{opts['w']} done")
+        write_json(_run_file(out, files, "validation", "invert/validation.json"),
+                   _validation_table(surrogate, ids, samples, values[-len(samples):, ids]))
+        _log(f"inversion: validation at w=0..{opts['w']} done")
 
-    _log(f"invert: multi-start MAP search, {opts['n_starts']} starts")
+    _log(f"inversion: multi-start MAP search, {opts['n_starts']} starts")
     map_result = find_map(surrogate, meas, n_starts=opts["n_starts"], seed=opts["start_seed"])
-    _log(f"invert: {map_result.n_not_converged} of {map_result.n_starts} starts "
+    _log(f"inversion: {map_result.n_not_converged} of {map_result.n_starts} starts "
          "did not converge")
     s2 = sigma_map(map_result.ls_min, meas.n)
     cov = laplace_covariance(surrogate, meas, map_result.v_map, s2)
@@ -466,30 +473,37 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
     posterior = build_posterior(map_result, cov, profiles, space, s2,
                                 chi2_threshold=opts["chi2_threshold"],
                                 flat_fraction=opts["flat_fraction"])
-    write_json(stage_dir / "inversion.json",
+    write_json(_run_file(out, files, "report", "invert/inversion.json"),
                inversion_report_json_dict(meas, map_result, s2, cov, profiles, posterior))
-    write_json(stage_dir / "posterior.json", posterior.to_json_dict())
-    files["report"] = "invert/inversion.json"
-    files["posterior"] = "invert/posterior.json"
-    _log(f"invert: v_map={np.round(map_result.v_map, 4).tolist()}, "
+    write_json(_run_file(out, files, "posterior", "invert/posterior.json"),
+               posterior.to_json_dict())
+    _log(f"inversion: v_map={np.round(map_result.v_map, 4).tolist()}, "
          f"sigma2_map={s2:.4g}, classes={list(posterior.classification)}")
     # the data-generating run is charged apart from the grid budget
     return {**_counts(ran, n_data), "data_evaluations": int(ran[:n_data].sum()),
-            "grid_points": grid.n_points, "map_starts": map_result.n_starts,
+            "grid_points": surrogate.grid.n_points, "map_starts": map_result.n_starts,
             "map_not_converged": map_result.n_not_converged, "files": files}
 
 
-def _read_inversion_file(path, what: str, parse):
-    """``_read_json_file`` of a file the inversion stage writes; a missing one is named."""
+def _read_inversion_file(path, what: str, parse,
+                         hint="run the inversion stage into this --out, or use --prior-only"):
+    """``_read_json_file`` of a file the inversion stage writes; a missing one is named,
+    with ``hint``: how to make it at its default path under --out, or the path's source."""
     if not Path(path).exists():
-        raise ConfigError(f"{what} not found: {path} "
-                          "(run the inversion stage into this --out, or use --prior-only)")
+        raise ConfigError(f"{what} not found: {path} ({hint})")
     return _read_json_file(path, what, parse)
 
 
-def _read_posterior(path: str, space: ParameterSpace) -> PosteriorSpec:
-    """The posterior spec in ``path``, on dimensions of ``space`` and boxed by their ranges."""
-    posterior = _read_inversion_file(path, "posterior spec", PosteriorSpec.from_json_dict)
+def _read_posterior(config: Config, out: Path) -> PosteriorSpec:
+    """The posterior spec that ``forward.posterior_file`` names, else the inversion stage's
+    under ``out``, on dimensions of the space and boxed by their ranges."""
+    path, space = config.stages["forward"]["posterior_file"], config.space
+    if path is None:
+        path = out / "invert" / "posterior.json"
+        posterior = _read_inversion_file(path, "posterior spec", PosteriorSpec.from_json_dict)
+    else:
+        posterior = _read_inversion_file(path, "posterior spec", PosteriorSpec.from_json_dict,
+                                         "the path forward.posterior_file names")
     names = posterior.space.names
     _require(set(names) <= set(space.names), f"the names of {path}",
              f"dimensions in {list(space.names)}", list(names))
@@ -517,13 +531,13 @@ def _read_prior_surrogate(path: Path, space: ParameterSpace, names) -> Surrogate
 def run_forward(config: Config, out: Path, validate: bool = False,
                 compare_prior: bool = False, prior_only: bool = False,
                 densities: bool = False) -> dict:
+    opts, handle = config.stages["forward"], config.handle
     if prior_only and compare_prior:
         raise ConfigError("--compare-prior needs a posterior to compare; drop --prior-only")
-    opts, handle = config.stages["forward"], config.handle
+    if prior_only and opts["posterior_file"] is not None:
+        raise ConfigError("--prior-only propagates no posterior; drop forward.posterior_file")
     qoi_ids = opts["qoi_outputs"]
     qoi_names = [handle.output_names[i] for i in qoi_ids]
-    stage_dir = out / "forward"
-    stage_dir.mkdir(parents=True, exist_ok=True)
 
     # every input file is read and checked before the first solver run; the saved
     # surrogate first, as it names the space an inversion on another prior ran on.
@@ -534,35 +548,20 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     if compare_prior:
         prior_surrogate = _read_prior_surrogate(out / "invert" / "surrogate.json", prior_space,
                                                 qoi_names)
-    posterior = prior_spec if prior_only else _read_posterior(
-        opts["posterior_file"] or str(out / "invert" / "posterior.json"), config.space)
+    posterior = prior_spec if prior_only else _read_posterior(config, out)
     if compare_prior and prior_space.names != posterior.space.names:
         raise ConfigError("prior space dims do not match the posterior spec")
 
     # a box that holds no probability of its marginal fails before the first solver run
     sample_posterior(posterior, 1, opts["seed"])
 
-    _log(f"forward: building {opts['kind']} grid, w={opts['w']} on the "
-         f"{'prior' if prior_only else 'posterior'}-matched space")
-    grid = _stage_grid(posterior.space, opts["kind"], opts["w"])
-    rows = [grid.points]
-    if validate:
-        val_samples = sample_posterior(posterior, opts["validation_samples"],
-                                       opts["validation_seed"])
-        rows.append(val_samples)
-    # one solver batch: the grid and the validation samples
-    values, ran = _run_rows(config, posterior.space, np.vstack(rows))
-    values = values[:, qoi_ids]
-    surrogate = Surrogate(grid, values[:grid.n_points], tuple(qoi_names))
-    counts = _counts(ran[:grid.n_points])
-    _log(f"forward: {grid.n_points} grid points, {counts['model_evaluations']} model evaluations, "
-         f"{counts['reused_evaluations']} reused")
-
+    surrogate, values, val_samples, ran = _stage_surrogate(
+        config, "forward", posterior.space, qoi_ids, validation=posterior if validate else None)
     files = {}
     if validate:
-        write_json(stage_dir / "validation.json", _validation_table(
-            surrogate, range(surrogate.n_outputs), val_samples, values[grid.n_points:]))
-        files["validation"] = "forward/validation.json"
+        write_json(_run_file(out, files, "validation", "forward/validation.json"),
+                   _validation_table(surrogate, range(surrogate.n_outputs), val_samples,
+                                     values[-len(val_samples):, qoi_ids]))
 
     # both bands take the same draw settings, so they share their uniform draws
     draws = opts["n_samples"], opts["seed"], opts["kde_grid"]
@@ -572,14 +571,14 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     comparison = BandComparison(prior=prior, posterior=post)
 
     coords = None if handle.output_coordinates is None else handle.output_coordinates[qoi_ids]
-    write_bands_csv(stage_dir / "bands.csv", comparison, qoi_names, coords)
-    files["bands"] = "forward/bands.csv"
+    write_bands_csv(_run_file(out, files, "bands", "forward/bands.csv"), comparison, qoi_names,
+                    coords)
     if densities:
-        write_densities_json(stage_dir / "densities.json", comparison, qoi_names)
-        files["densities"] = "forward/densities.json"
+        write_densities_json(_run_file(out, files, "densities", "forward/densities.json"),
+                             comparison, qoi_names)
     _log(f"forward: bands written for {comparison.n_locations} locations, n={opts['n_samples']}")
-    return {**_counts(ran), "grid_points": grid.n_points, "n_samples": int(opts["n_samples"]),
-            "files": files}
+    return {**_counts(ran), "grid_points": surrogate.grid.n_points,
+            "n_samples": int(opts["n_samples"]), "files": files}
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +606,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--validate", action="store_true")
+        if name != "gsa":
+            p.add_argument("--validate", action="store_true")
         if name in ("forward", "pipeline"):
             p.add_argument("--compare-prior", action="store_true")
             p.add_argument("--densities", action="store_true")
@@ -616,7 +616,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out = Path(args.out) if args.out else Path("run") / time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-    out.mkdir(parents=True, exist_ok=True)
 
     try:
         config = _load_config(args.config, args.command)

@@ -499,7 +499,87 @@ def test_malformed_source_date_epoch_exits_2_before_any_stage(tmp_path, capsys, 
     assert main(["pipeline", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert f"SOURCE_DATE_EPOCH must be whole seconds since 1970-01-01 UTC, got {epoch!r}" \
         in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+    assert not (tmp_path / "w").exists()
+
+
+def test_config_error_without_out_leaves_no_run_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gsa", "--config", str(tmp_path / "missing.json")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_forward_compare_prior_into_a_fresh_out_leaves_no_directory(tmp_path, capsys):
+    # the saved prior surrogate is missing, so the stage fails before its first write
+    out = tmp_path / "o"
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
+    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--compare-prior"]) == 2
+    assert "run the inversion stage into this --out" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gsa_failing_model_exits_3_and_leaves_no_stage_directory(tmp_path):
+    out = tmp_path / "o"
+    cfg = beam_config()
+    cfg["model"] = failing_model(tmp_path)
+    assert main(["gsa", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    assert not (out / "gsa").exists()
+
+
+def test_gsa_takes_no_validate_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["gsa", "--config", write_config(tmp_path, beam_config()),
+              "--out", str(tmp_path / "o"), "--validate"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_manifest_lists_every_run_file(tmp_path):
+    cfg = beam_config(forward={"n_samples": 1000})
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--validate", "--compare-prior", "--densities"]) == 0
+    listed = [name for stage in read_manifest(out)["stages"].values()
+              for name in stage["files"].values()]
+    on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert sorted(listed) == sorted(on_disk - {"manifest.json"})
+    assert len(listed) == 9
+
+
+def test_pipeline_with_a_posterior_file_exits_2_before_any_solver_run(tmp_path, capsys):
+    # the pipeline propagates the posterior its own inversion writes, not another one
+    (tmp_path / "posterior.json").write_text(json.dumps(GOOD_POSTERIOR))
+    cfg = beam_config(forward={"posterior_file": str(tmp_path / "posterior.json")})
+    cfg["model"] = failing_model(tmp_path)
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "forward.posterior_file" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+    assert not out.exists()
+
+
+def test_forward_prior_only_with_a_posterior_file_exits_2_before_any_solver_run(tmp_path,
+                                                                              capsys):
+    (tmp_path / "posterior.json").write_text(json.dumps(GOOD_POSTERIOR))
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]},
+                      forward={"posterior_file": str(tmp_path / "posterior.json")})
+    cfg["model"] = failing_model(tmp_path)
+    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                 "--prior-only"]) == 2
+    assert "forward.posterior_file" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_missing_posterior_file_is_named_by_its_config_key(tmp_path, capsys):
+    missing = tmp_path / "elsewhere" / "posterior.json"
+    cfg = beam_config(forward={"posterior_file": str(missing)})
+    cfg["model"] = failing_model(tmp_path)
+    assert main(["forward", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "forward.posterior_file" in err
+    assert "--out" not in err
     assert not (tmp_path / "w").exists()
 
 
