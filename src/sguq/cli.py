@@ -10,12 +10,13 @@ Usage:
 One JSON config describes the parameter space, the model handle and the
 per-stage options; every random stream has an explicit seed so a rerun with
 the same config is byte-identical (set SOURCE_DATE_EPOCH to pin the manifest
-timestamp as well).  Stages communicate through files only: the screening
-stage writes a keep/drop recommendation, the inversion stage writes the
-posterior spec and its full-output surrogate, the forward stage consumes
-both.  A stage directory is made with its first file, so a command that
-fails before then leaves none.  Exit codes: 0 success, 2 config error,
-3 model/protocol error, 4 numerical failure.
+timestamp as well).  Stages communicate through the run directory (--out)
+only: the screening stage writes a keep/drop recommendation, the inversion
+stage writes the posterior spec and its full-output surrogate, and the
+forward stage reads both from there; to propagate another run's posterior,
+give its directory as --out.  A stage directory is made with its first
+file, so a command that fails before then leaves none.  Exit codes: 0
+success, 2 config error, 3 model/protocol error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ EXIT_NUMERICAL = 4
 STAGE_OPTIONS = {
     # the Sobol indices are exact: gsa n_samples and seed are only echoed in sobol.json
     "gsa": {"kind": "max", "w": 1, "n_samples": 16384, "seed": 0, "threshold": 0.05,
-            "outputs": None, "exclude_outputs": None},
+            "outputs": None},
     "inversion": {"kind": "sum", "w": 3, "n_starts": 16, "seed": 0, "start_seed": 1,
                   "chi2_threshold": CHI2_95, "flat_fraction": FLAT_FRACTION, "profile_grid": 101,
                   "validation_samples": 50, "validation_seed": 0,
@@ -65,7 +66,7 @@ STAGE_OPTIONS = {
                   "noise_std": None, "measurement_outputs": None},
     "forward": {"kind": "sum", "w": 3, "n_samples": 10000, "seed": 0, "kde_grid": KDE_GRID_SIZE,
                 "validation_samples": 50, "validation_seed": 0,
-                "posterior_file": None, "qoi_outputs": None},
+                "qoi_outputs": None},
 }
 #: integer options whose lower bound is not 0
 MIN_VALUES = {"inversion.n_starts": MIN_STARTS, "inversion.profile_grid": MIN_PROFILE_GRID,
@@ -107,7 +108,7 @@ def _check_section(config: dict, stage: str) -> dict:
                      f"an integer >= {low}", value)
         elif isinstance(default, float):
             _require(_is_number(value), name, "a number", value)
-        elif key.endswith("_file"):
+        elif key == "data_file":
             _require(isinstance(value, str) and value, name, "a file path", value)
     return {**STAGE_OPTIONS[stage], **given}
 
@@ -136,12 +137,7 @@ def _load_config(path: str, command: str) -> Config:
     gsa, inv, fwd = stages.values()
     dists = {d.name: d.dist for d in space.dims}
 
-    excluded = (_output_ids(handle, gsa["exclude_outputs"], "none", "gsa.exclude_outputs")
-                if gsa["exclude_outputs"] else [])
-    gsa["outputs"] = [i for i in _output_ids(handle, gsa["outputs"], "displacement",
-                                             "gsa.outputs") if i not in excluded]
-    if not gsa["outputs"]:
-        raise ConfigError("all GSA outputs were excluded")
+    gsa["outputs"] = _output_ids(handle, gsa["outputs"], "displacement", "gsa.outputs")
     inv["measurement_outputs"] = _output_ids(handle, inv["measurement_outputs"],
                                              "displacement", "inversion.measurement_outputs")
     fwd["qoi_outputs"] = _output_ids(handle, fwd["qoi_outputs"], "strain", "forward.qoi_outputs")
@@ -170,8 +166,6 @@ def _load_config(path: str, command: str) -> Config:
             _require(dist.a <= value <= dist.b, f"inversion.fixed_values.{name}",
                      f"in [{dist.a}, {dist.b}]", value)
 
-    _require(command != "pipeline" or fwd["posterior_file"] is None, "forward.posterior_file",
-             "unset in a pipeline, which propagates its own posterior", fwd["posterior_file"])
     # the screening stage may run before the measurements exist
     if command in ("invert", "pipeline"):
         _require(dims is None or all(isinstance(dists[d], Uniform) for d in dims),
@@ -485,25 +479,20 @@ def run_invert(config: Config, out: Path, validate: bool = False) -> dict:
             "map_not_converged": map_result.n_not_converged, "files": files}
 
 
-def _read_inversion_file(path, what: str, parse,
-                         hint="run the inversion stage into this --out, or use --prior-only"):
-    """``_read_json_file`` of a file the inversion stage writes; a missing one is named,
-    with ``hint``: how to make it at its default path under --out, or the path's source."""
-    if not Path(path).exists():
-        raise ConfigError(f"{what} not found: {path} ({hint})")
+def _read_inversion_file(path: Path, what: str, parse):
+    """``_read_json_file`` of a file the inversion stage writes under --out; a missing one
+    is named, with how to make it."""
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path} "
+                          "(run the inversion stage into this --out, or use --prior-only)")
     return _read_json_file(path, what, parse)
 
 
-def _read_posterior(config: Config, out: Path) -> PosteriorSpec:
-    """The posterior spec that ``forward.posterior_file`` names, else the inversion stage's
-    under ``out``, on dimensions of the space and boxed by their ranges."""
-    path, space = config.stages["forward"]["posterior_file"], config.space
-    if path is None:
-        path = out / "invert" / "posterior.json"
-        posterior = _read_inversion_file(path, "posterior spec", PosteriorSpec.from_json_dict)
-    else:
-        posterior = _read_inversion_file(path, "posterior spec", PosteriorSpec.from_json_dict,
-                                         "the path forward.posterior_file names")
+def _read_posterior(space: ParameterSpace, out: Path) -> PosteriorSpec:
+    """The inversion stage's posterior spec under ``out``, on dimensions of ``space`` and
+    boxed by their ranges."""
+    path = out / "invert" / "posterior.json"
+    posterior = _read_inversion_file(path, "posterior spec", PosteriorSpec.from_json_dict)
     names = posterior.space.names
     _require(set(names) <= set(space.names), f"the names of {path}",
              f"dimensions in {list(space.names)}", list(names))
@@ -516,12 +505,13 @@ def _read_posterior(config: Config, out: Path) -> PosteriorSpec:
 
 
 def _read_prior_surrogate(path: Path, space: ParameterSpace, names) -> Surrogate:
-    """The inversion stage's surrogate in ``path``, on ``space``, cut to the outputs ``names``."""
+    """The inversion stage's surrogate in ``path``, cut to the outputs ``names``; each of its
+    dimensions carries its prior in ``space``."""
     def parse(data):
         ids = [data["output_names"].index(n) for n in names]
         surrogate = surrogate_from_json_dict(
             {**data, "values": [data["values"][i] for i in ids], "output_names": names})
-        if surrogate.grid.space != space:
+        if not set(surrogate.grid.space.dims) <= set(space.dims):
             raise ConfigError(f"prior surrogate {path} is built on another parameter space")
         return surrogate
 
@@ -534,22 +524,19 @@ def run_forward(config: Config, out: Path, validate: bool = False,
     opts, handle = config.stages["forward"], config.handle
     if prior_only and compare_prior:
         raise ConfigError("--compare-prior needs a posterior to compare; drop --prior-only")
-    if prior_only and opts["posterior_file"] is not None:
-        raise ConfigError("--prior-only propagates no posterior; drop forward.posterior_file")
     qoi_ids = opts["qoi_outputs"]
     qoi_names = [handle.output_names[i] for i in qoi_ids]
 
     # every input file is read and checked before the first solver run; the saved
     # surrogate first, as it names the space an inversion on another prior ran on.
-    # The prior band propagates that surrogate, so it costs no solver run
-    if compare_prior or prior_only:
-        prior_space = _reduced_space(config, out)
-        prior_spec = PosteriorSpec.from_prior(prior_space)
+    # The prior band propagates that surrogate on its space, so it costs no solver run
     if compare_prior:
-        prior_surrogate = _read_prior_surrogate(out / "invert" / "surrogate.json", prior_space,
+        prior_surrogate = _read_prior_surrogate(out / "invert" / "surrogate.json", config.space,
                                                 qoi_names)
-    posterior = prior_spec if prior_only else _read_posterior(config, out)
-    if compare_prior and prior_space.names != posterior.space.names:
+        prior_spec = PosteriorSpec.from_prior(prior_surrogate.grid.space)
+    posterior = (PosteriorSpec.from_prior(_reduced_space(config, out)) if prior_only
+                 else _read_posterior(config.space, out))
+    if compare_prior and prior_spec.space.names != posterior.space.names:
         raise ConfigError("prior space dims do not match the posterior spec")
 
     # a box that holds no probability of its marginal fails before the first solver run
@@ -618,6 +605,9 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else Path("run") / time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
 
     try:
+        existing = next(path for path in (out, *out.parents) if path.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {out}: {existing} is not a directory")
         config = _load_config(args.config, args.command)
         created = _utc_timestamp()
         # the stages the command names, in order, each from its one call site

@@ -275,6 +275,9 @@ class ExternalModel:
         except subprocess.TimeoutExpired as exc:
             raise ExternalModelError(
                 f"external model {self.name!r} timed out after {self.timeout} s on {label}") from exc
+        except OSError as exc:
+            raise ExternalModelError(
+                f"external model {self.name!r} cannot start {self.command}: {exc}") from exc
         if proc.returncode != 0:
             raise ExternalModelError(
                 f"external model {self.name!r} exited with code {proc.returncode} on {label}: "

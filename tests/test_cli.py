@@ -121,6 +121,29 @@ def test_failing_external_model_exits_3(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+def test_external_solver_that_cannot_start_exits_3_naming_it(tmp_path, capsys):
+    cfg = beam_config()
+    cfg["model"] = {**failing_model(tmp_path), "command": [str(tmp_path / "no_such_solver")]}
+    out = tmp_path / "o"
+    assert main(["gsa", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "model error" in err and str(tmp_path / "no_such_solver") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "o"], ids=["out_is_a_file", "out_under_a_file"])
+def test_out_through_a_file_exits_2_before_any_solver_run(tmp_path, capsys, below):
+    model, log = logging_solver(tmp_path)
+    cfg = beam_config()
+    cfg["model"] = model
+    (tmp_path / "notadir").write_text("")
+    out = tmp_path / "notadir" / below
+    assert main(["gsa", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"{tmp_path / 'notadir'} is not a directory" in capsys.readouterr().err
+    assert launches(log) == []
+    assert (tmp_path / "notadir").read_text() == ""
+
+
 PATHOLOGICAL_POSTERIOR = {"names": ["T_A", "log_h_p"],
                           "marginals": [{"type": "gaussian", "mean": 99999.0, "std": 0.5},
                                         {"type": "uniform", "a": -5.0, "b": -1.5}],
@@ -183,9 +206,8 @@ def test_gsa_that_keeps_no_dimension_exits_4_without_a_screening_result(tmp_path
 
 def test_gsa_output_exclusion_changes_ranking(tmp_path):
     # only the far displacements see enough powder influence at a high
-    # threshold; excluding them from the ranking drops the powder dimension
-    cfg = beam_config(gsa={"threshold": 0.3,
-                           "exclude_outputs": [f"u_{k}" for k in (7, 8, 9)]})
+    # threshold; ranking on the others alone drops the powder dimension
+    cfg = beam_config(gsa={"threshold": 0.3, "outputs": [f"u_{k}" for k in range(1, 7)]})
     out = tmp_path / "o"
     assert main(["gsa", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 0
@@ -244,7 +266,6 @@ def test_gsa_with_gaussian_dimension_runs(tmp_path):
 
 @pytest.mark.parametrize("command, stage, key", [
     ("gsa", "gsa", "outputs"),
-    ("gsa", "gsa", "exclude_outputs"),
     ("invert", "inversion", "measurement_outputs"),
     ("forward", "forward", "qoi_outputs"),
 ])
@@ -394,11 +415,14 @@ def test_bad_data_file_exits_2_before_any_solver_run(tmp_path, capsys, content):
 # ---------------------------------------------------------------------------
 
 
-def test_forward_requires_posterior_or_prior_only(tmp_path):
+def test_forward_requires_posterior_or_prior_only(tmp_path, capsys):
     cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]})
     out = tmp_path / "o"
     assert main(["forward", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "invert" / "posterior.json") in err
+    assert "run the inversion stage into this --out, or use --prior-only" in err
 
 
 @pytest.mark.parametrize("kde_grid", [0, 1, 2.5, "512", True])
@@ -547,42 +571,6 @@ def test_manifest_lists_every_run_file(tmp_path):
     assert len(listed) == 9
 
 
-def test_pipeline_with_a_posterior_file_exits_2_before_any_solver_run(tmp_path, capsys):
-    # the pipeline propagates the posterior its own inversion writes, not another one
-    (tmp_path / "posterior.json").write_text(json.dumps(GOOD_POSTERIOR))
-    cfg = beam_config(forward={"posterior_file": str(tmp_path / "posterior.json")})
-    cfg["model"] = failing_model(tmp_path)
-    out = tmp_path / "o"
-    assert main(["pipeline", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
-    assert "forward.posterior_file" in capsys.readouterr().err
-    assert not (tmp_path / "w").exists()
-    assert not out.exists()
-
-
-def test_forward_prior_only_with_a_posterior_file_exits_2_before_any_solver_run(tmp_path,
-                                                                              capsys):
-    (tmp_path / "posterior.json").write_text(json.dumps(GOOD_POSTERIOR))
-    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]},
-                      forward={"posterior_file": str(tmp_path / "posterior.json")})
-    cfg["model"] = failing_model(tmp_path)
-    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
-                 "--prior-only"]) == 2
-    assert "forward.posterior_file" in capsys.readouterr().err
-    assert not (tmp_path / "w").exists()
-
-
-def test_missing_posterior_file_is_named_by_its_config_key(tmp_path, capsys):
-    missing = tmp_path / "elsewhere" / "posterior.json"
-    cfg = beam_config(forward={"posterior_file": str(missing)})
-    cfg["model"] = failing_model(tmp_path)
-    assert main(["forward", "--config", write_config(tmp_path, cfg),
-                 "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert str(missing) in err and "forward.posterior_file" in err
-    assert "--out" not in err
-    assert not (tmp_path / "w").exists()
-
-
 class CountingModel:
     """Reads only T_A; records every batch it is sent."""
     name, input_names, output_names = "counting", ("T_A",), ("f",)
@@ -673,6 +661,14 @@ def test_fixed_value_of_a_screening_kept_dim_is_logged_as_ignored(tmp_path, caps
     assert main(["pipeline", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 0
     assert "inversion.fixed_values.T_A is ignored" in capsys.readouterr().err
+
+
+def test_fixed_value_notice_is_logged_once_in_a_compare_prior_pipeline(tmp_path, capsys):
+    # only the inversion stage reads the screening's keep list
+    cfg = beam_config(inversion={"fixed_values": {"T_A": 1200.0}}, forward={"n_samples": 2000})
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o"), "--compare-prior"]) == 0
+    assert capsys.readouterr().err.count("inversion.fixed_values.T_A is ignored") == 1
 
 
 def test_config_holds_each_dimension_at_its_fixed_value_else_its_center(tmp_path):
@@ -928,11 +924,12 @@ def test_posterior_names_outside_the_space_exit_2_before_any_solver_run(tmp_path
                                {"type": "uniform", "a": -5.0, "b": 0.0}],
                  "classification": ["identifiable", "weakly_identifiable"],
                  "prior_box": [[1130.0, -5.0], [1450.0, 0.0]]}
-    (tmp_path / "posterior.json").write_text(json.dumps(posterior))
-    cfg = beam_config(forward={"posterior_file": str(tmp_path / "posterior.json")})
+    out = tmp_path / "o"
+    (out / "invert").mkdir(parents=True)
+    (out / "invert" / "posterior.json").write_text(json.dumps(posterior))
+    cfg = beam_config()
     cfg["model"] = failing_model(tmp_path)
-    assert main(["forward", "--config", write_config(tmp_path, cfg),
-                 "--out", str(tmp_path / "o")]) == 2
+    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert "log_hp" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
@@ -1040,17 +1037,32 @@ def test_prior_band_comes_only_from_the_saved_inversion_surrogate(tmp_path, caps
     bands = [(out / "forward" / "bands.csv").read_bytes() for out in (whole, split)]
     assert bands[0] == bands[1]
 
-    # a posterior from elsewhere does not bring its surrogate along
+    # a posterior copied from elsewhere does not bring its surrogate along
     model, log = logging_solver(tmp_path)
     cfg["model"] = model
-    cfg["forward"]["posterior_file"] = str(whole / "invert" / "posterior.json")
     fresh = tmp_path / "fresh"
+    (fresh / "invert").mkdir(parents=True)
+    (fresh / "invert" / "posterior.json").write_bytes(
+        (whole / "invert" / "posterior.json").read_bytes())
     capsys.readouterr()
     assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(fresh),
                  "--compare-prior"]) == 2
     err = capsys.readouterr().err
     assert str(fresh / "invert" / "surrogate.json") in err and "--prior-only" in err
     assert launches(log) == []
+
+
+def test_compare_prior_needs_no_screening_result_once_inverted(tmp_path):
+    # the prior band takes its dimensions from the saved surrogate, not the keep list
+    path = write_config(tmp_path, beam_config(forward={"n_samples": 2000}))
+    whole, split = tmp_path / "whole", tmp_path / "split"
+    assert main(["pipeline", "--config", path, "--out", str(whole), "--compare-prior"]) == 0
+    for command in ("gsa", "invert"):
+        assert main([command, "--config", path, "--out", str(split)]) == 0
+    (split / "gsa" / "sobol.json").unlink()
+    assert main(["forward", "--config", path, "--out", str(split), "--compare-prior"]) == 0
+    bands = [(out / "forward" / "bands.csv").read_bytes() for out in (whole, split)]
+    assert bands[0] == bands[1]
 
 
 def test_each_band_is_independent_of_compare_prior(tmp_path):
@@ -1085,6 +1097,8 @@ DELETE = object()
     ("forward", "kde_grid", 256.0, "forward.kde_grid", "forward"),
     ("forward", "qoi_outputs", ["eps_999"], "forward.qoi_outputs", "forward"),
     ("forward", None, [1], "'forward'", "forward"),
+    ("forward", "posterior_file", "posterior.json", "'posterior_file'", "forward"),
+    ("gsa", "exclude_outputs", ["u_7"], "'exclude_outputs'", "gsa"),
     ("inversion", "target", DELETE, "'target'", "invert"),
     ("inversion", "data_file", "missing.json", "inversion.data_file", "invert"),
     ("inversion", "n_starts", "16", "inversion.n_starts", "invert"),
@@ -1146,6 +1160,7 @@ DELETE = object()
     ("inversion", "target", [1339.8, -3.75, 0.0], "inversion.target", "invert"),
     ("inversion", "target", [1000.0, -3.75], "inversion.target", "invert"),
 ], ids=["kde_grid_typo", "kde_grid_float", "unknown_qoi", "forward_not_object",
+        "retired_posterior_file", "retired_exclude_outputs",
         "no_target_no_data", "missing_data_file", "n_starts_string", "gsa_w_string",
         "fixed_value_typo", "fixed_value_string", "fixed_value_outside_range",
         "fixed_value_of_inverted_dim", "n_starts_2", "profile_grid_10", "kind_tri", "forward_n_samples_0", "threshold_2", "negative_noise",
