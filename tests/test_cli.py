@@ -266,6 +266,7 @@ def test_gsa_with_gaussian_dimension_runs(tmp_path):
 
 @pytest.mark.parametrize("command, stage, key", [
     ("gsa", "gsa", "outputs"),
+    ("gsa", "gsa", "exclude_outputs"),
     ("invert", "inversion", "measurement_outputs"),
     ("forward", "forward", "qoi_outputs"),
 ])
@@ -284,7 +285,12 @@ def test_bad_output_id_exits_2_before_any_solver_run(tmp_path, capsys, command, 
     assert main(argv + (["--prior-only"] if command == "forward" else [])) == 2
     message = ("output 'u_2' is listed more than once" if isinstance(bad, list)
                else f"output id {bad!r}")
-    assert f"{stage}.{key}: {message}" in capsys.readouterr().err
+    if key == "exclude_outputs":
+        # retired in favour of gsa.outputs: rejected by name, whatever ids it holds
+        expected = "unknown gsa option(s) ['exclude_outputs']"
+    else:
+        expected = f"{stage}.{key}: {message}"
+    assert expected in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 
@@ -569,6 +575,47 @@ def test_manifest_lists_every_run_file(tmp_path):
     on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
     assert sorted(listed) == sorted(on_disk - {"manifest.json"})
     assert len(listed) == 9
+
+
+# forward.posterior_file is retired: the forward stage reads its posterior from
+# <out>/invert/ only, so the key is rejected as an unknown forward option
+RETIRED_POSTERIOR_FILE = "unknown forward option(s) ['posterior_file']"
+
+
+def test_pipeline_with_a_posterior_file_exits_2_before_any_solver_run(tmp_path, capsys):
+    # the pipeline propagates the posterior its own inversion writes, not another one
+    (tmp_path / "posterior.json").write_text(json.dumps(GOOD_POSTERIOR))
+    cfg = beam_config(forward={"posterior_file": str(tmp_path / "posterior.json")})
+    cfg["model"] = failing_model(tmp_path)
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert RETIRED_POSTERIOR_FILE in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+    assert not out.exists()
+
+
+def test_forward_prior_only_with_a_posterior_file_exits_2_before_any_solver_run(tmp_path,
+                                                                              capsys):
+    (tmp_path / "posterior.json").write_text(json.dumps(GOOD_POSTERIOR))
+    cfg = beam_config(inversion={"dims": ["T_A", "log_h_p"]},
+                      forward={"posterior_file": str(tmp_path / "posterior.json")})
+    cfg["model"] = failing_model(tmp_path)
+    assert main(["forward", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                 "--prior-only"]) == 2
+    assert RETIRED_POSTERIOR_FILE in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_missing_posterior_file_is_named_by_its_config_key(tmp_path, capsys):
+    missing = tmp_path / "elsewhere" / "posterior.json"
+    cfg = beam_config(forward={"posterior_file": str(missing)})
+    cfg["model"] = failing_model(tmp_path)
+    assert main(["forward", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert RETIRED_POSTERIOR_FILE in err
+    assert "--out" not in err
+    assert not (tmp_path / "w").exists()
 
 
 class CountingModel:
@@ -1097,8 +1144,6 @@ DELETE = object()
     ("forward", "kde_grid", 256.0, "forward.kde_grid", "forward"),
     ("forward", "qoi_outputs", ["eps_999"], "forward.qoi_outputs", "forward"),
     ("forward", None, [1], "'forward'", "forward"),
-    ("forward", "posterior_file", "posterior.json", "'posterior_file'", "forward"),
-    ("gsa", "exclude_outputs", ["u_7"], "'exclude_outputs'", "gsa"),
     ("inversion", "target", DELETE, "'target'", "invert"),
     ("inversion", "data_file", "missing.json", "inversion.data_file", "invert"),
     ("inversion", "n_starts", "16", "inversion.n_starts", "invert"),
@@ -1160,7 +1205,6 @@ DELETE = object()
     ("inversion", "target", [1339.8, -3.75, 0.0], "inversion.target", "invert"),
     ("inversion", "target", [1000.0, -3.75], "inversion.target", "invert"),
 ], ids=["kde_grid_typo", "kde_grid_float", "unknown_qoi", "forward_not_object",
-        "retired_posterior_file", "retired_exclude_outputs",
         "no_target_no_data", "missing_data_file", "n_starts_string", "gsa_w_string",
         "fixed_value_typo", "fixed_value_string", "fixed_value_outside_range",
         "fixed_value_of_inverted_dim", "n_starts_2", "profile_grid_10", "kind_tri", "forward_n_samples_0", "threshold_2", "negative_noise",
